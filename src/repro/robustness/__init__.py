@@ -3,13 +3,7 @@ injection, retry/backoff with circuit breaking, the fail-closed
 degradation ladder (coarsen → stale → reject; never below k),
 crash-consistent snapshot recovery, and real process-kill chaos."""
 
-from .aio import (
-    AsyncClock,
-    LoopClock,
-    VirtualClock,
-    breaker_clock,
-    retry_call_async,
-)
+from .aio import VirtualTimeLoop, retry_call_async, run_virtual
 from .chaos import (
     KillPlan,
     ReplicaKillPlan,
@@ -57,7 +51,6 @@ __all__ = [
     "DEGRADATION_LEVELS",
     "DegradationEvent",
     "FAULT_KINDS",
-    "AsyncClock",
     "CircuitBreaker",
     "Clock",
     "FaultInjectingAsyncClient",
@@ -70,7 +63,6 @@ __all__ = [
     "InjectedFault",
     "InjectedTimeout",
     "KillPlan",
-    "LoopClock",
     "ManualClock",
     "PolicyJournal",
     "QuorumJournal",
@@ -79,8 +71,7 @@ __all__ = [
     "ReplicaKillPlan",
     "RetryPolicy",
     "SystemClock",
-    "VirtualClock",
-    "breaker_clock",
+    "VirtualTimeLoop",
     "destroy_replica",
     "flat_structure_digest",
     "kill_current_process",
@@ -91,4 +82,5 @@ __all__ = [
     "policy_with_overrides",
     "retry_call",
     "retry_call_async",
+    "run_virtual",
 ]

@@ -1,4 +1,4 @@
-"""Async ports of the retry/backoff and circuit-breaker primitives.
+"""Async port of retry/backoff, and a virtual-time event loop.
 
 The sync stack (:mod:`repro.robustness.retry`) blocks a whole worker on
 every backoff sleep; one CSP thread therefore serves one in-flight LBS
@@ -6,12 +6,6 @@ query at a time.  This module re-expresses the exact same semantics as
 awaitables so a single event loop overlaps many provider round-trips
 under the same budgets:
 
-* :class:`AsyncClock` — the awaitable twin of
-  :class:`~repro.robustness.retry.Clock`: a monotonic reading plus an
-  ``await``-able sleep.  :class:`LoopClock` reads the running event
-  loop's clock; :class:`VirtualClock` advances simulated time instantly
-  (tests and benches stay wall-clock free, exactly like
-  :class:`~repro.robustness.retry.ManualClock`).
 * :func:`retry_call_async` — :func:`~repro.robustness.retry.retry_call`
   for coroutines.  It reuses the *same* :class:`RetryPolicy` (delays are
   bit-identical, deterministic jitter included) and the *same*
@@ -19,111 +13,100 @@ under the same budgets:
   one breaker, because its state transitions are synchronous and the
   event loop never preempts between ``allow()`` and
   ``record_failure()``.
+* :class:`VirtualTimeLoop` / :func:`run_virtual` — an event loop whose
+  clock jumps straight to the next timer instead of waiting for it.
 
-Design note: the breaker deliberately is **not** duplicated into an
-"AsyncCircuitBreaker".  Its API is non-blocking; only the *clock* needs
-adapting (:func:`breaker_clock`), so one failure budget can protect the
-provider across both serving paths at once — retry storms from the sync
-oracle and the async gateway count against the same threshold.
+Every async layer (gateway, pooled client, batcher, this retry loop)
+reads one clock — the running loop's ``time()`` — and waits with
+``asyncio.sleep`` / ``call_later``.  Run the same coroutines under
+:func:`run_virtual` and that one clock becomes simulated time: a
+capacity sweep of the production gateway over seconds of arrivals costs
+milliseconds of wall time and replays bit for bit, and no component can
+disagree with another about what time it is.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Optional, Tuple, Type
+import selectors
+from typing import Any, Callable, Coroutine, Optional, Tuple, Type, TypeVar
 
 from ..core.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     ReproError,
 )
-from .retry import CircuitBreaker, Clock, RetryPolicy
+from .retry import CircuitBreaker, RetryPolicy
 
-__all__ = [
-    "AsyncClock",
-    "LoopClock",
-    "VirtualClock",
-    "breaker_clock",
-    "retry_call_async",
-]
+__all__ = ["VirtualTimeLoop", "retry_call_async", "run_virtual"]
+
+T = TypeVar("T")
 
 
-class AsyncClock:
-    """Minimal awaitable clock: a monotonic reading and an async sleep."""
+class _VirtualSelector(selectors.DefaultSelector):
+    """Turns every timed wait of the loop into a jump of virtual time.
 
-    def monotonic(self) -> float:
-        raise NotImplementedError
-
-    async def sleep(self, seconds: float) -> None:
-        raise NotImplementedError
-
-
-class LoopClock(AsyncClock):
-    """The running event loop's clock (production default)."""
-
-    def monotonic(self) -> float:
-        return asyncio.get_event_loop().time()
-
-    async def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            await asyncio.sleep(seconds)
-
-
-class VirtualClock(AsyncClock):
-    """A virtual async clock: sleeping advances simulated time instantly.
-
-    ``slept`` accumulates total backoff, mirroring
-    :class:`~repro.robustness.retry.ManualClock`; every sleep still
-    yields to the event loop once, so coalescing/cancellation interleave
-    realistically without real waiting.
+    The loop asks its selector to block for ``timeout`` seconds exactly
+    when nothing is runnable before its next timer; advancing the clock
+    by ``timeout`` and polling instead makes that timer due at once.
     """
 
-    def __init__(self, start: float = 0.0):
-        self.now = float(start)
-        self.slept = 0.0
+    def __init__(self, loop: "VirtualTimeLoop"):
+        super().__init__()
+        self._loop = loop
 
-    def monotonic(self) -> float:
-        return self.now
-
-    async def sleep(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ReproError("cannot sleep a negative duration")
-        self.now += seconds
-        self.slept += seconds
-        await asyncio.sleep(0)
-
-    def advance(self, seconds: float) -> None:
-        """Move time forward without counting it as backoff."""
-        self.now += seconds
+    def select(self, timeout: Optional[float] = None) -> Any:
+        events = super().select(0)
+        if timeout is None and not events:
+            raise ReproError(
+                "virtual-time loop is idle with no timer pending: every "
+                "task awaits something that can never happen (deadlock)"
+            )
+        if timeout is not None and timeout > 0:
+            self._loop._now += timeout
+        return events
 
 
-class _BreakerClock(Clock):
-    """Adapt an :class:`AsyncClock` to the breaker's sync interface.
+class VirtualTimeLoop(asyncio.SelectorEventLoop):
+    """An event loop on simulated time, starting at 0.0.
 
-    The breaker only ever *reads* the clock (``monotonic``); it never
-    sleeps, so the adapter's ``sleep`` is intentionally unreachable.
+    ``time()`` reads a counter that only the selector advances, so the
+    coroutines it runs must wait on timers, never on real I/O or
+    threads: a wait with no timer left raises :class:`ReproError`
+    instead of hanging.
     """
 
-    def __init__(self, clock: AsyncClock):
-        self._clock = clock
+    def __init__(self) -> None:
+        self._now = 0.0
+        super().__init__(_VirtualSelector(self))
 
-    def monotonic(self) -> float:
-        return self._clock.monotonic()
-
-    def sleep(self, seconds: float) -> None:  # pragma: no cover
-        raise ReproError("breaker clocks never sleep")
+    def time(self) -> float:
+        return self._now
 
 
-def breaker_clock(clock: AsyncClock) -> Clock:
-    """A sync :class:`Clock` view of ``clock`` for ``CircuitBreaker``."""
-    return _BreakerClock(clock)
+def run_virtual(coro: Coroutine[Any, Any, T]) -> T:
+    """``asyncio.run`` on a fresh :class:`VirtualTimeLoop`."""
+    loop = VirtualTimeLoop()
+    try:
+        return loop.run_until_complete(coro)
+    finally:
+        try:
+            tasks = asyncio.all_tasks(loop)
+            for task in tasks:
+                task.cancel()
+            if tasks:
+                loop.run_until_complete(
+                    asyncio.gather(*tasks, return_exceptions=True)
+                )
+            loop.run_until_complete(loop.shutdown_asyncgens())
+        finally:
+            loop.close()
 
 
 async def retry_call_async(
     fn: Callable[[], "asyncio.Future"],
     *,
     policy: RetryPolicy,
-    clock: Optional[AsyncClock] = None,
     deadline: Optional[float] = None,
     retryable: Tuple[Type[BaseException], ...] = (Exception,),
     breaker: Optional[CircuitBreaker] = None,
@@ -133,15 +116,15 @@ async def retry_call_async(
 
     Semantics match :func:`repro.robustness.retry.retry_call` clause for
     clause: only ``retryable`` exceptions retry; ``deadline`` bounds the
-    total budget (work + backoff) measured on ``clock``; ``breaker`` is
-    consulted before and informed after every attempt; ``on_attempt``
-    observes each outcome.  ``asyncio.CancelledError`` always
-    propagates immediately — cancellation is a caller decision, never a
-    provider failure, so it neither trips the breaker nor burns an
-    attempt.
+    total budget (work + backoff) measured on the loop clock;
+    ``breaker`` is consulted before and informed after every attempt;
+    ``on_attempt`` observes each outcome.  ``asyncio.CancelledError``
+    always propagates immediately — cancellation is a caller decision,
+    never a provider failure, so it neither trips the breaker nor burns
+    an attempt.
     """
-    clock = clock or LoopClock()
-    start = clock.monotonic()
+    loop = asyncio.get_running_loop()
+    start = loop.time()
     for attempt in range(policy.max_attempts):
         if breaker is not None and not breaker.allow():
             raise CircuitOpenError(
@@ -160,15 +143,12 @@ async def retry_call_async(
             if attempt + 1 >= policy.max_attempts:
                 raise
             delay = policy.delay_for(attempt)
-            if (
-                deadline is not None
-                and clock.monotonic() + delay - start > deadline
-            ):
+            if deadline is not None and loop.time() + delay - start > deadline:
                 raise DeadlineExceededError(
                     f"deadline of {deadline:g}s exhausted after "
                     f"{attempt + 1} attempt(s)"
                 ) from exc
-            await clock.sleep(delay)
+            await asyncio.sleep(delay)
         else:
             if breaker is not None:
                 breaker.record_success()

@@ -35,7 +35,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 from ..core.errors import DeadlineExceededError, ReproError
 from ..core.requests import AnonymizedRequest
 from ..lbs.provider import QueryAnswer
-from ..robustness.aio import AsyncClock, LoopClock
 
 __all__ = ["ClientStats", "PooledConnection", "AsyncProviderClient"]
 
@@ -86,7 +85,6 @@ class AsyncProviderClient:
         pool_size: int = 8,
         rtt: float = 0.0,
         deadline: Optional[float] = None,
-        clock: Optional[AsyncClock] = None,
     ) -> None:
         if pool_size < 1:
             raise ReproError("pool_size must be ≥ 1")
@@ -98,7 +96,6 @@ class AsyncProviderClient:
         self.pool_size = pool_size
         self.rtt = rtt
         self.deadline = deadline
-        self.clock = clock or LoopClock()
         self.stats = ClientStats()
         self._idle: Optional[asyncio.LifoQueue] = None
         self._next_conn_id = 0
@@ -139,7 +136,8 @@ class AsyncProviderClient:
     async def _exchange(
         self, conn: PooledConnection, requests: Sequence[AnonymizedRequest]
     ) -> Tuple[QueryAnswer, ...]:
-        await self.clock.sleep(self.rtt)
+        if self.rtt > 0:
+            await asyncio.sleep(self.rtt)
         serve_many = getattr(self.provider, "serve_many", None)
         if serve_many is not None:
             answers = tuple(serve_many(tuple(requests)))

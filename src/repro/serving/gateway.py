@@ -46,7 +46,7 @@ exception instance* for every waiter coalesced onto that round.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import (
@@ -56,7 +56,7 @@ from ..core.errors import (
     ServiceUnavailableError,
 )
 from ..lbs.cache import AsyncAnswerCache
-from ..robustness.aio import AsyncClock, LoopClock, retry_call_async
+from ..robustness.aio import retry_call_async
 from ..robustness.degrade import DegradationEvent
 from ..robustness.faults import FaultInjectingAsyncClient
 from ..robustness.retry import RetryPolicy
@@ -187,7 +187,6 @@ class AsyncGateway:
         config: Optional[GatewayConfig] = None,
         *,
         client: Optional[AsyncProviderClient] = None,
-        clock: Optional[AsyncClock] = None,
         admission: Optional[AdmissionController] = None,
     ) -> None:
         self.csp = csp
@@ -206,14 +205,12 @@ class AsyncGateway:
                 f"{self.config.queue_high_water} — the containment "
                 "invariant needs them identical"
             )
-        self.clock = clock or LoopClock()
         if client is None:
             client = AsyncProviderClient(
                 csp.base_provider,
                 pool_size=self.config.pool_size,
                 rtt=self.config.rtt,
                 deadline=self.config.round_deadline,
-                clock=self.clock,
             )
         if csp.injector is not None:
             client = FaultInjectingAsyncClient(client, csp.injector)
@@ -269,7 +266,7 @@ class AsyncGateway:
                     reason="shed",
                 )
         if self.config.rate_per_user != float("inf"):
-            now = self.clock.monotonic()
+            now = asyncio.get_running_loop().time()
             bucket = self._buckets.get(user_id)
             if bucket is None:
                 bucket = _TokenBucket(self.config.burst_per_user, now)
@@ -310,7 +307,7 @@ class AsyncGateway:
         async def fetch():
             return await self.client.serve_round(requests)
 
-        start = self.clock.monotonic()
+        start = asyncio.get_running_loop().time()
         try:
             if csp.retry_policy is None and csp.breaker is None:
                 result = await fetch()
@@ -318,7 +315,6 @@ class AsyncGateway:
                 result = await retry_call_async(
                     fetch,
                     policy=csp.retry_policy or RetryPolicy(max_attempts=1),
-                    clock=self.clock,
                     deadline=csp.provider_deadline,
                     retryable=TRANSIENT_PROVIDER_ERRORS
                     + (DeadlineExceededError,),
@@ -352,7 +348,7 @@ class AsyncGateway:
             return
         breaker = self.csp.breaker
         self.admission.observe_round(
-            self.clock.monotonic() - start,
+            asyncio.get_running_loop().time() - start,
             failed=failed,
             breaker_open=breaker is not None and breaker.state != "closed",
         )
@@ -458,10 +454,11 @@ async def serve_scheduled(
     """Submit a timed workload: each ``(arrival, user_id, payload)`` is
     submitted at its arrival offset (seconds from the first submission).
 
-    This is the live twin of the DES's arrival schedule — replaying the
-    *same* schedule here and in
-    :class:`~repro.lbs.simulation.GatewaySimulation` is what makes the
-    offline capacity model falsifiable against the real event loop.
+    Offsets are read on the running loop's clock, so the same schedule
+    replays in real time under ``asyncio.run`` and in simulated time
+    under :func:`~repro.robustness.aio.run_virtual` — the SLO capacity
+    sweep is this coroutine on a virtual loop, cross-validated against
+    the same schedule on a real one.
     """
     loop = asyncio.get_running_loop()
     start = loop.time()
@@ -503,8 +500,7 @@ def run_gateway(
     """Sync façade: run a workload through a fresh gateway to completion.
 
     Builds the gateway, drives the event loop, and returns
-    ``(results, stats)`` — the entry point for benches, the DES, and any
-    caller that is not already inside an event loop
+    ``(results, stats)`` — the entry point for benches and any caller that is not already inside an event loop
     (:meth:`repro.lbs.pipeline.CSP.serve_async` delegates here).
     """
     gateway = AsyncGateway(csp, config, admission=admission)

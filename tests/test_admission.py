@@ -1,5 +1,5 @@
 """Adaptive (AIMD) admission: containment invariant, controller
-dynamics, and the gateway/DES integrations."""
+dynamics, and the gateway integration on real and virtual time."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +11,17 @@ from repro.data import uniform_users
 from repro.lbs.pipeline import CSP
 from repro.lbs.poi import generate_pois
 from repro.lbs.provider import LBSProvider
-from repro.lbs.simulation import (
-    GatewaySimulation,
-    ServiceTimes,
-    poisson_schedule,
-)
+from repro.lbs.simulation import poisson_schedule
+from repro.robustness.aio import run_virtual
 from repro.robustness.retry import CircuitBreaker, ManualClock
 from repro.serving.admission import AdmissionConfig, AdmissionController
-from repro.serving.gateway import AsyncGateway, GatewayConfig, run_gateway
+from repro.serving.aio_provider import AsyncProviderClient
+from repro.serving.gateway import (
+    AsyncGateway,
+    GatewayConfig,
+    run_gateway,
+    serve_scheduled,
+)
 
 REGION = Rect(0, 0, 4096, 4096)
 K = 8
@@ -30,6 +33,32 @@ def make_csp(n_users=120, seed=5, **kwargs):
         generate_pois(REGION, {"rest": 40, "groc": 30}, seed=3)
     )
     return CSP(REGION, K, db, provider, **kwargs)
+
+
+def virtual_run(csp, schedule, config, **gateway_kwargs):
+    """Replay ``(t, user, category)`` arrivals through the production
+    gateway on a virtual-time loop; returns ``(results, stats)``."""
+    gateway = AsyncGateway(csp, config, **gateway_kwargs)
+    results = run_virtual(
+        serve_scheduled(
+            gateway, [(t, u, [("poi", c)]) for t, u, c in schedule]
+        )
+    )
+    return results, gateway.stats
+
+
+class FirstRoundFails(AsyncProviderClient):
+    """A pooled client whose first provider round raises."""
+
+    def __init__(self, provider, **kwargs):
+        super().__init__(provider, **kwargs)
+        self.attempts = 0
+
+    async def serve_round(self, requests):
+        self.attempts += 1
+        if self.attempts == 1:
+            raise ConnectionError("first round lost on the wire")
+        return await super().serve_round(requests)
 
 
 # One observation of one provider round, as hypothesis generates them.
@@ -207,18 +236,17 @@ class TestGatewayIntegration:
 
 
 class TestControllerInDES:
+    """The controller inside the production gateway, replayed as a
+    discrete-event simulation on a virtual-time event loop."""
+
     def test_des_adaptive_contained_in_static(self):
-        """Replay one schedule twice through the DES — static-only and
-        controller-mode — and check the controller only ever refuses
-        MORE: every adaptive-admitted arrival count stays within the
-        static run's, and adaptive sheds are attributed."""
-        csp = make_csp(n_users=200)
-        users = csp.anonymizer.current_db.user_ids()
+        """Replay one schedule twice — static-only and controller-mode —
+        and check the controller only ever refuses MORE: every
+        adaptive-admitted arrival count stays within the static run's,
+        and adaptive sheds are attributed."""
+        users = make_csp(n_users=200).anonymizer.current_db.user_ids()
         schedule = poisson_schedule(
             users, rate_per_user=8.0, duration=1.0, seed=3
-        )
-        times = ServiceTimes(
-            cloak_lookup=0.00005, lbs_query=0.00005, cache_lookup=0.00002
         )
         config = GatewayConfig(
             queue_high_water=8,
@@ -228,16 +256,14 @@ class TestControllerInDES:
             max_batch=8,
             pool_size=2,
         )
-        static = GatewaySimulation(csp.policy, config, times=times).run(
-            schedule
-        )
+        __, static = virtual_run(make_csp(n_users=200), schedule, config)
         controller = AdmissionController(
             8, AdmissionConfig(rtt_target=0.04, ewma_alpha=0.5)
         )
-        adaptive = GatewaySimulation(
-            csp.policy, config, times=times, admission=controller
-        ).run(schedule)
-        assert adaptive.submitted == static.submitted
+        __, adaptive = virtual_run(
+            make_csp(n_users=200), schedule, config, admission=controller
+        )
+        assert adaptive.submitted == static.submitted == len(schedule)
         assert adaptive.served <= static.served
         assert adaptive.shed + adaptive.throttled >= (
             static.shed + static.throttled
@@ -247,10 +273,15 @@ class TestControllerInDES:
         assert controller.high_water <= 8
 
     def test_des_breaker_sheds_with_cause(self):
-        csp = make_csp(n_users=200)
-        users = csp.anonymizer.current_db.user_ids()
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout=30.0, clock=ManualClock()
+        )
+        csp = make_csp(n_users=200, circuit_breaker=breaker)
         schedule = poisson_schedule(
-            users, rate_per_user=8.0, duration=1.0, seed=4
+            csp.anonymizer.current_db.user_ids(),
+            rate_per_user=8.0,
+            duration=1.0,
+            seed=4,
         )
         config = GatewayConfig(
             queue_high_water=32,
@@ -260,17 +291,21 @@ class TestControllerInDES:
             max_batch=8,
             pool_size=2,
         )
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=30.0)
-        controller = AdmissionController(32)
-        sim = GatewaySimulation(
-            csp.policy,
-            config,
-            admission=controller,
-            breaker=breaker,
-            fail_rounds=(0,),  # first round fails → breaker opens
+        client = FirstRoundFails(
+            csp.base_provider, pool_size=config.pool_size, rtt=config.rtt
         )
-        report = sim.run(schedule)
-        assert report.errors > 0  # the failed round's waiters
-        assert report.shed_breaker > 0  # arrivals during the open window
-        assert report.shed_by_cause["breaker"] == report.shed_breaker
-        assert "breaker" in report.slo_summary()
+        results, stats = virtual_run(
+            csp,
+            schedule,
+            config,
+            client=client,
+            admission=AdmissionController(32),
+        )
+        assert breaker.state == "open"  # the first round opened it
+        assert stats.errors > 0  # the failed round's waiters
+        assert stats.shed_breaker > 0  # arrivals during the open window
+        assert stats.shed_by_cause["breaker"] == stats.shed_breaker
+        reasons = {
+            r.reason for r in results if isinstance(r, ServiceUnavailableError)
+        }
+        assert reasons == {"provider", "shed"}

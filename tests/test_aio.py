@@ -1,5 +1,5 @@
-"""Async robustness primitives: retry/backoff port, clocks, and the
-single-flight answer cache.
+"""Async robustness primitives: retry/backoff port, the virtual-time
+event loop, and the single-flight answer cache.
 
 The async ports must be semantically identical to their sync twins —
 same policies, same delays (deterministic jitter included), shareable
@@ -23,10 +23,9 @@ from repro.robustness import (
     CircuitBreaker,
     ManualClock,
     RetryPolicy,
-    VirtualClock,
-    breaker_clock,
     retry_call,
     retry_call_async,
+    run_virtual,
 )
 
 
@@ -50,44 +49,68 @@ class Flaky:
         return self.value
 
 
+async def elapsed(coro):
+    """Await ``coro``; return ``(result or exception, loop seconds)``."""
+    loop = asyncio.get_running_loop()
+    start = loop.time()
+    try:
+        result = await coro
+    except Exception as exc:  # noqa: BLE001 — returned to the test
+        result = exc
+    return result, loop.time() - start
+
+
 class TestVirtualClock:
+    """The clock of :class:`~repro.robustness.aio.VirtualTimeLoop`."""
+
     def test_sleep_accumulates_and_yields(self):
-        clock = VirtualClock()
+        order = []
+
+        async def sleeper(name, seconds):
+            await asyncio.sleep(seconds)
+            order.append((name, asyncio.get_running_loop().time()))
 
         async def use():
-            await clock.sleep(1.5)
-            await clock.sleep(0.5)
-            return clock.monotonic()
+            await asyncio.gather(sleeper("late", 2.0), sleeper("early", 1.5))
+            await asyncio.sleep(0.5)
+            return asyncio.get_running_loop().time()
 
-        assert run(use()) == 2.0
-        assert clock.slept == 2.0
+        assert run_virtual(use()) == 2.5
+        assert order == [("early", 1.5), ("late", 2.0)]
 
-    def test_negative_sleep_rejected(self):
-        clock = VirtualClock()
-        with pytest.raises(ReproError):
-            run(clock.sleep(-1))
+    def test_hour_long_sleep_costs_no_wall_time(self):
+        import time
 
-    def test_advance_is_not_backoff(self):
-        clock = VirtualClock(start=10.0)
-        clock.advance(5.0)
-        assert clock.monotonic() == 15.0
-        assert clock.slept == 0.0
+        start = time.perf_counter()
+        assert run_virtual(elapsed(asyncio.sleep(3600.0)))[1] == 3600.0
+        assert time.perf_counter() - start < 5.0
 
-    def test_breaker_clock_reads_through(self):
-        clock = VirtualClock(start=3.0)
-        sync_view = breaker_clock(clock)
-        assert sync_view.monotonic() == 3.0
-        with pytest.raises(ReproError):
-            sync_view.sleep(1.0)
+    def test_idle_loop_raises_instead_of_hanging(self):
+        async def deadlock():
+            await asyncio.get_running_loop().create_future()
+
+        with pytest.raises(ReproError, match="idle"):
+            run_virtual(deadlock())
+
+    def test_wait_for_times_out_on_virtual_time(self):
+        async def drive():
+            return await elapsed(asyncio.wait_for(asyncio.sleep(5.0), 0.25))
+
+        result, seconds = run_virtual(drive())
+        assert isinstance(result, asyncio.TimeoutError)
+        assert seconds == pytest.approx(0.25)
 
 
 class TestRetryCallAsync:
     def test_succeeds_after_transient_failures(self):
         fn = Flaky(2)
-        clock = VirtualClock()
         policy = RetryPolicy(max_attempts=3, base_delay=0.1, seed=4)
-        assert run(retry_call_async(fn, policy=policy, clock=clock)) == "ok"
+        result, seconds = run_virtual(
+            elapsed(retry_call_async(fn, policy=policy))
+        )
+        assert result == "ok"
         assert fn.calls == 3
+        assert seconds == policy.delay_for(0) + policy.delay_for(1)
 
     def test_backoff_identical_to_sync_twin(self):
         """The async port reuses RetryPolicy verbatim: total backoff must
@@ -100,34 +123,29 @@ class TestRetryCallAsync:
                 _always_fail_sync, policy=policy, clock=sync_clock
             )
 
-        async_clock = VirtualClock()
-        with pytest.raises(TimeoutError):
-            run(
-                retry_call_async(
-                    _always_fail_async, policy=policy, clock=async_clock
-                )
-            )
-        assert async_clock.slept == sync_clock.slept > 0.0
+        result, seconds = run_virtual(
+            elapsed(retry_call_async(_always_fail_async, policy=policy))
+        )
+        assert isinstance(result, TimeoutError)
+        assert seconds == sync_clock.slept > 0.0
 
     def test_exhaustion_reraises_last_error(self):
         fn = Flaky(5)
         with pytest.raises(TimeoutError, match="boom 2"):
-            run(
+            run_virtual(
                 retry_call_async(
                     fn,
                     policy=RetryPolicy(max_attempts=2, base_delay=0.0),
-                    clock=VirtualClock(),
                 )
             )
 
     def test_non_retryable_propagates_immediately(self):
         fn = Flaky(1, exc=ValueError)
         with pytest.raises(ValueError):
-            run(
+            run_virtual(
                 retry_call_async(
                     fn,
                     policy=RetryPolicy(max_attempts=5, base_delay=0.0),
-                    clock=VirtualClock(),
                     retryable=(TimeoutError,),
                 )
             )
@@ -135,36 +153,34 @@ class TestRetryCallAsync:
 
     def test_deadline_refuses_doomed_backoff(self):
         fn = Flaky(10)
-        clock = VirtualClock()
-        with pytest.raises(DeadlineExceededError):
-            run(
+        result, seconds = run_virtual(
+            elapsed(
                 retry_call_async(
                     fn,
                     policy=RetryPolicy(
                         max_attempts=10, base_delay=1.0, jitter=0.0
                     ),
-                    clock=clock,
                     deadline=2.5,
                 )
             )
+        )
+        assert isinstance(result, DeadlineExceededError)
         # The overrunning backoff is refused, never slept toward.
-        assert clock.slept <= 2.5
+        assert 0.0 < seconds <= 2.5
 
     def test_breaker_shared_with_sync_path(self):
         """One breaker instance guards both serving paths: async failures
         push it open, and the sync path then fails fast too."""
-        clock = VirtualClock()
         breaker = CircuitBreaker(
             failure_threshold=2,
             reset_timeout=60.0,
-            clock=breaker_clock(clock),
+            clock=ManualClock(),
         )
         with pytest.raises(TimeoutError):
-            run(
+            run_virtual(
                 retry_call_async(
                     Flaky(9),
                     policy=RetryPolicy(max_attempts=2, base_delay=0.0),
-                    clock=clock,
                     breaker=breaker,
                 )
             )
@@ -178,10 +194,9 @@ class TestRetryCallAsync:
             )
 
     def test_cancellation_neither_retries_nor_trips_breaker(self):
-        clock = VirtualClock()
         breaker = CircuitBreaker(
             failure_threshold=1,
-            clock=breaker_clock(clock),
+            clock=ManualClock(),
         )
         started = 0
 
@@ -195,7 +210,6 @@ class TestRetryCallAsync:
                 retry_call_async(
                     hang,
                     policy=RetryPolicy(max_attempts=3, base_delay=0.0),
-                    clock=clock,
                     breaker=breaker,
                 )
             )
@@ -204,7 +218,7 @@ class TestRetryCallAsync:
             with pytest.raises(asyncio.CancelledError):
                 await task
 
-        run(drive())
+        run_virtual(drive())
         assert started == 1  # cancellation burned no retry attempt
         assert breaker.state == "closed"  # and is not a provider failure
 

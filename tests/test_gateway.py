@@ -22,6 +22,7 @@ from repro.robustness import (
     FaultPlan,
     FaultRule,
     RetryPolicy,
+    run_virtual,
 )
 from repro.serving import (
     AsyncGateway,
@@ -321,19 +322,39 @@ class TestPooledClient:
         asyncio.run(drive())
         assert client.stats.replaced == 0
 
-    def test_round_pays_one_rtt_for_many_queries(self, provider):
-        from repro.robustness import VirtualClock
+    def test_deadline_and_rtt_share_one_clock(self, provider):
+        """Regression: the round's RTT and its deadline are read on the
+        same (loop) clock, so on virtual time a 0.5 s round under a
+        0.1 s deadline overruns at 0.1 s — it is never served late."""
+        from repro.core.errors import DeadlineExceededError
 
-        clock = VirtualClock()
-        client = AsyncProviderClient(provider, pool_size=4, rtt=0.01, clock=clock)
+        client = AsyncProviderClient(
+            provider, pool_size=1, rtt=0.5, deadline=0.1
+        )
 
         async def drive():
-            return await client.serve_round(
-                [_anon(i, offset=i) for i in range(10)]
-            )
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            with pytest.raises(DeadlineExceededError):
+                await client.serve_round([_anon(1)])
+            return loop.time() - start
 
-        asyncio.run(drive())
-        assert clock.slept == pytest.approx(0.01)  # one RTT, ten queries
+        assert run_virtual(drive()) == pytest.approx(0.1)
+        assert client.stats.deadline_hits == 1
+        assert client.stats.replaced == 1
+        assert client.stats.rounds == 0
+
+    def test_round_pays_one_rtt_for_many_queries(self, provider):
+        client = AsyncProviderClient(provider, pool_size=4, rtt=0.01)
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            await client.serve_round([_anon(i, offset=i) for i in range(10)])
+            return loop.time() - start
+
+        # One RTT for ten queries.
+        assert run_virtual(drive()) == pytest.approx(0.01)
         assert client.stats.rounds == 1
         assert client.stats.queries == 10
         assert client.stats.batching == 10.0

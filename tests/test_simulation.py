@@ -227,7 +227,7 @@ class TestProcessRestart:
 
 
 class TestGatewaySimulation:
-    """The virtual-time twin of the async gateway."""
+    """The production gateway replayed on a virtual-time event loop."""
 
     REGION = Rect(0, 0, 4096, 4096)
     K = 8
@@ -247,10 +247,19 @@ class TestGatewaySimulation:
         )
         return CSP(self.REGION, self.K, db, provider)
 
-    def times(self):
-        return ServiceTimes(
-            cloak_lookup=0.00005, lbs_query=0.00005, cache_lookup=0.00002
-        )
+    @staticmethod
+    def timed(schedule):
+        """``(t, user, category)`` arrivals as gateway submissions."""
+        return [(t, user, [("poi", cat)]) for t, user, cat in schedule]
+
+    def run_virtual(self, schedule, config):
+        """One fresh gateway over one fresh CSP, on virtual time."""
+        from repro.robustness import run_virtual
+        from repro.serving.gateway import AsyncGateway, serve_scheduled
+
+        gateway = AsyncGateway(self.make(), config)
+        results = run_virtual(serve_scheduled(gateway, self.timed(schedule)))
+        return results, gateway.stats
 
     def test_schedule_is_deterministic(self):
         from repro.lbs import poisson_schedule
@@ -266,69 +275,61 @@ class TestGatewaySimulation:
             poisson_schedule(users, 0.0, 5.0)
 
     def test_run_is_deterministic(self):
-        from repro.lbs import GatewaySimulation, poisson_schedule
+        """Two virtual-time runs of one schedule and config are equal:
+        identical stats, and per request the same served cloak or the
+        same exception class and reason."""
+        from repro.lbs import poisson_schedule
         from repro.serving.gateway import GatewayConfig
 
-        csp = self.make()
         schedule = poisson_schedule(
-            csp.anonymizer.current_db.user_ids(), 6.0, 1.0, seed=11
+            self.make().anonymizer.current_db.user_ids(), 6.0, 1.0, seed=11
         )
         config = GatewayConfig(
             queue_high_water=8, rtt=0.03, max_wait=0.005,
             max_batch=8, pool_size=2,
         )
-        first = GatewaySimulation(csp.policy, config, times=self.times()).run(
-            schedule
-        )
-        second = GatewaySimulation(csp.policy, config, times=self.times()).run(
-            schedule
-        )
-        assert first.served == second.served
-        assert first.shed_by_cause == second.shed_by_cause
-        assert first.latencies == second.latencies
+
+        def outcome(result):
+            if isinstance(result, BaseException):
+                return type(result), getattr(result, "reason", None)
+            return result.anonymized.cloak
+
+        first, first_stats = self.run_virtual(schedule, config)
+        second, second_stats = self.run_virtual(schedule, config)
+        assert first_stats == second_stats
+        assert [outcome(r) for r in first] == [outcome(r) for r in second]
+        assert 0 < first_stats.shed < first_stats.submitted
 
     def test_accounting_balances(self):
-        from repro.lbs import GatewaySimulation, poisson_schedule
+        from repro.lbs import poisson_schedule
         from repro.serving.gateway import GatewayConfig
 
-        csp = self.make()
         schedule = poisson_schedule(
-            csp.anonymizer.current_db.user_ids(), 6.0, 1.0, seed=12
+            self.make().anonymizer.current_db.user_ids(), 6.0, 1.0, seed=12
         )
         config = GatewayConfig(
             queue_high_water=8, rtt=0.03, max_wait=0.005,
             max_batch=8, pool_size=2,
         )
-        report = GatewaySimulation(
-            csp.policy, config, times=self.times()
-        ).run(schedule)
-        assert report.submitted == len(schedule)
+        results, stats = self.run_virtual(schedule, config)
+        assert stats.submitted == len(schedule) == len(results)
         assert (
-            report.submitted
-            == report.served
-            + report.shed
-            + report.throttled
-            + report.errors
+            stats.submitted
+            == stats.served + stats.shed + stats.throttled + stats.errors
         )
-        assert report.shed == (
-            report.shed_high_water
-            + report.shed_adaptive
-            + report.shed_breaker
+        assert stats.shed == (
+            stats.shed_high_water + stats.shed_adaptive + stats.shed_breaker
         )
         # Coalescing/caching amortize: fewer provider queries than serves.
-        assert 0 < report.provider_queries < report.served
-        assert report.provider_rounds <= report.provider_queries
-        assert len(report.latencies) == report.served
-        assert "shed" in report.slo_summary()
-        assert report.queue_depth_high_water >= 1
-        assert "queue depth high-water" in report.slo_summary()
+        assert 0 < stats.provider_queries < stats.served
+        assert stats.provider_rounds <= stats.provider_queries
+        assert 1 <= stats.queue_depth_high_water <= config.queue_high_water
+        assert 1 <= stats.inflight_high_water <= config.max_inflight
 
     def test_token_bucket_throttles_chatty_user(self):
-        from repro.lbs import GatewaySimulation
         from repro.serving.gateway import GatewayConfig
 
-        csp = self.make()
-        user = csp.anonymizer.current_db.user_ids()[0]
+        user = self.make().anonymizer.current_db.user_ids()[0]
         # One user fires 40 requests in 40 ms against a 4-token bucket.
         schedule = [(0.001 * i, user, "rest") for i in range(40)]
         config = GatewayConfig(
@@ -339,26 +340,23 @@ class TestGatewaySimulation:
             rtt=0.01,
             max_wait=0.001,
         )
-        report = GatewaySimulation(
-            csp.policy, config, times=self.times()
-        ).run(schedule)
-        assert report.throttled >= 30
-        assert report.shed_by_cause["throttle"] == report.throttled
+        __, stats = self.run_virtual(schedule, config)
+        assert stats.throttled >= 30
+        assert stats.shed_by_cause["throttle"] == stats.throttled
 
-    def test_des_within_15pct_of_live_gateway(self):
+    def test_virtual_within_15pct_of_live_gateway(self):
         """The acceptance cross-validation: replay one Poisson schedule
-        through the DES and the real event-loop gateway at three
-        operating points; the predicted shed rate must land within 15%
-        of the measured rate on at least two of them (one point may be
-        lost to wall-clock jitter on a loaded host)."""
-        from repro.lbs import GatewaySimulation, poisson_schedule
+        through the gateway on virtual time and on the real event loop
+        at three operating points; the virtual shed rate must land
+        within 15% of the wall-clock rate on at least two of them (one
+        point may be lost to wall-clock jitter on a loaded host)."""
+        from repro.lbs import poisson_schedule
         from repro.serving.gateway import (
             GatewayConfig,
             run_gateway_scheduled,
         )
 
-        csp = self.make()
-        users = csp.anonymizer.current_db.user_ids()
+        users = self.make().anonymizer.current_db.user_ids()
         schedule = poisson_schedule(users, 8.0, 2.0, seed=7)
         points = [
             GatewayConfig(
@@ -367,23 +365,23 @@ class TestGatewaySimulation:
             )
             for rtt, max_wait in ((0.03, 0.005), (0.05, 0.008), (0.06, 0.01))
         ]
+
+        def shed_rate(stats):
+            return (stats.shed + stats.throttled) / stats.submitted
+
         within = 0
         observed = []
         for config in points:
-            predicted = GatewaySimulation(
-                csp.policy, config, times=self.times()
-            ).run(schedule)
-            live_csp = self.make()
-            live_schedule = [
-                (t, user, [("poi", cat)]) for t, user, cat in schedule
-            ]
-            __, stats = run_gateway_scheduled(
-                live_csp, live_schedule, config
+            __, virtual = self.run_virtual(schedule, config)
+            __, live = run_gateway_scheduled(
+                self.make(), self.timed(schedule), config
             )
-            measured = (stats.shed + stats.throttled) / stats.submitted
+            measured = shed_rate(live)
             assert measured > 0.0, "operating point must actually shed"
-            error = abs(predicted.shed_rate - measured) / measured
-            observed.append((config.rtt, predicted.shed_rate, measured, error))
+            error = abs(shed_rate(virtual) - measured) / measured
+            observed.append((config.rtt, shed_rate(virtual), measured, error))
             if error <= 0.15:
                 within += 1
-        assert within >= 2, f"DES disagreed with the live gateway: {observed}"
+        assert within >= 2, (
+            f"virtual time disagreed with the live gateway: {observed}"
+        )

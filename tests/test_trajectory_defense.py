@@ -236,9 +236,15 @@ def _replay(defended, n_users=130, seed=31):
     return stream.audit(K), rejected, csp
 
 
+@pytest.fixture(scope="module")
+def defended_replay():
+    """The defended replay, run once for every test that reads it."""
+    return _replay(defended=True)
+
+
 class TestCSPAuditGate:
-    def test_defended_stream_holds_for_every_user(self):
-        audit, __, csp = _replay(defended=True)
+    def test_defended_stream_holds_for_every_user(self, defended_replay):
+        audit, __, csp = defended_replay
         assert audit.audited > 0
         assert audit.all_hold
         assert audit.min_surviving >= K
@@ -251,10 +257,10 @@ class TestCSPAuditGate:
         assert audit.failing  # ...and that is exactly the problem
         assert audit.min_surviving < K
 
-    def test_defense_never_registers_group_coarsening(self):
+    def test_defense_never_registers_group_coarsening(self, defended_replay):
         """Widenings are per-request decisions, not policy overrides:
         the CSP's group-coarsening registry must stay untouched."""
-        __, ___, csp = _replay(defended=True)
+        __, ___, csp = defended_replay
         assert not csp._coarsened
 
 
