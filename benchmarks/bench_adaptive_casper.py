@@ -6,8 +6,6 @@ both halves of that sentence measurable: per-snapshot maintenance cost
 of the pyramid versus rebuilding it, with cloak sizes asserted equal.
 """
 
-import pytest
-
 from repro.baselines.casper_adaptive import CasperPyramid
 from repro.data import uniform_users
 from repro.core.geometry import Rect

@@ -7,8 +7,6 @@ seconds per query for cryptographic PIR — the "three orders of
 magnitude" claim, with the answer cache's LBS-offload quantified.
 """
 
-import pytest
-
 from repro.baselines import PIRCostModel
 from repro.data import uniform_users
 from repro.core.geometry import Rect

@@ -6,7 +6,6 @@ versus the uniform-k fallbacks a scalar-k deployment is stuck with.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.binary_dp import solve
 from repro.data import uniform_users

@@ -8,8 +8,6 @@ same qualitative facts at the active scale.
 
 import math
 
-import pytest
-
 from repro.experiments import run_fig3, sample_for
 from repro.trees import BinaryTree
 

@@ -6,8 +6,6 @@ clock by ≈ m.  The bench regenerates the whole figure once, then
 asserts the two shapes on the recorded rows.
 """
 
-import pytest
-
 from repro.experiments import run_fig4a
 
 from conftest import run_once

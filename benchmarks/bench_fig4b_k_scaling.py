@@ -6,8 +6,6 @@ materialized nodes shrinks as |B| ≈ |D|/k, so the total stays gentle;
 we assert the sub-quadratic envelope rather than a specific slope.
 """
 
-import pytest
-
 from repro.experiments import run_fig4b
 
 from conftest import run_once

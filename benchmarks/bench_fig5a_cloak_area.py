@@ -5,8 +5,6 @@ optimum is nearly identical to the policy-unaware quad tree and at most
 ~1.7× Casper — the measured "price of the stronger guarantee".
 """
 
-import pytest
-
 from repro.experiments import run_fig5a
 
 from conftest import run_once

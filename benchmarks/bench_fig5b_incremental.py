@@ -6,8 +6,6 @@ incremental degenerates into bulk.  Correctness (identical cost) must
 hold at every point.
 """
 
-import pytest
-
 from repro.experiments import run_fig5b
 
 from conftest import run_once

@@ -7,8 +7,6 @@ identity to a policy-aware attacker; randomized trials show the latter
 breach is generic, not an artifact of the crafted layout.
 """
 
-import pytest
-
 from repro.experiments import run_fig6
 
 from conftest import run_once

@@ -9,7 +9,7 @@ extraction, and the per-request cloak lookup.
 import numpy as np
 import pytest
 
-from repro.core.binary_dp import _min_plus, solve
+from repro.core.binary_dp import _min_plus, solve, solve_object
 from repro.core.flat_dp import _min_plus_batch, extract_cloaks, solve_arrays
 from repro.core.geometry import Rect
 from repro.core.requests import ServiceRequest
@@ -76,7 +76,7 @@ def test_kernel_solve(benchmark, workload):
 
 def test_kernel_solve_object(benchmark, workload):
     __, tree, ___, ____ = workload
-    solution = benchmark(solve, tree, K, engine="object")
+    solution = benchmark(solve_object, tree, K)
     assert solution.optimal_cost > 0
 
 

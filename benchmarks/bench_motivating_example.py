@@ -6,8 +6,6 @@ its exact cloaks) lets a policy-aware attacker identify Carol, while the
 optimal policy-aware policy (the paper's P2) protects everyone.
 """
 
-import pytest
-
 from repro.experiments import run_table1
 
 from conftest import run_once

@@ -6,17 +6,23 @@ paper stress-tested 4096; cost divergence appears only when an optimal
 cloak would have spanned a jurisdiction border).
 
 The transport comparison rides along: dispatching jurisdictions as
-shared-memory handles must shrink the pickled payload by at least an
-order of magnitude versus shipping each compiled subtree, while staying
-bit-identical in cost and cloaks.  The gate applies up to 64
-jurisdictions; beyond that the subtrees themselves shrink toward
-handle size and the ratio honestly decays (recorded, not gated).
+shared-memory handles (what process-mode workers receive) must shrink
+the pickled payload by at least an order of magnitude versus shipping
+each compiled subtree, while the attached arrays solve to bit-identical
+cloaks.  The gate applies up to 64 jurisdictions; beyond that the
+subtrees themselves shrink toward handle size and the ratio honestly
+decays (recorded, not gated).
 """
+
+import pickle
 
 import pytest
 
+from repro.core.flat_dp import extract_cloaks, solve_arrays
 from repro.experiments import run_sec6d
-from repro.parallel import parallel_bulk_anonymize
+from repro.trees import BinaryTree, FlatTree
+from repro.trees.flat import SharedFlatTree
+from repro.trees.partition import greedy_partition
 
 from conftest import run_once
 
@@ -40,6 +46,7 @@ def test_sec6d_shm_transport_shrinks_dispatch(profile, record_table):
 
     region, db = sample_for(profile.db_fixed, profile)
     k = profile.k
+    tree = BinaryTree.build(region, db, k)
     table = Table(
         "§VI-D transport — pickled subtrees vs shared-memory handles",
         [
@@ -51,25 +58,34 @@ def test_sec6d_shm_transport_shrinks_dispatch(profile, record_table):
         ],
     )
     for n_servers in profile.jurisdiction_sweep:
-        flat = parallel_bulk_anonymize(
-            region, db, k, n_servers, transport="flat"
-        )
-        shm = parallel_bulk_anonymize(
-            region, db, k, n_servers, transport="shm"
-        )
-        # Bit-identical outcome — the handle names the same arrays the
-        # pickled subtree carried.
-        identical = shm.cost == flat.cost and all(
-            shm.master.cloak_for(u) == flat.master.cloak_for(u)
-            for u in db.user_ids()
-        )
-        ratio = (
-            flat.dispatch_payload_bytes / shm.dispatch_payload_bytes
-        )
+        flat_bytes = shm_bytes = 0
+        identical = True
+        for jur in greedy_partition(tree, n_servers, k):
+            root = tree.nodes[jur.node_id]
+            if root.count == 0:
+                continue
+            flat = FlatTree.compile(tree, root=root, with_payload=True)
+            shared = SharedFlatTree.publish(flat)
+            try:
+                flat_bytes += len(pickle.dumps(flat))
+                shm_bytes += len(pickle.dumps(shared.handle))
+                # Bit-identical outcome — the handle names the same
+                # arrays the pickled subtree carries.
+                attached = SharedFlatTree.attach(shared.handle)
+                try:
+                    identical = identical and _cloaks(
+                        attached.tree, k
+                    ) == _cloaks(flat, k)
+                finally:
+                    attached.close()
+            finally:
+                shared.unlink()
+                shared.close()
+        ratio = flat_bytes / shm_bytes
         table.add(
             jurisdictions=n_servers,
-            flat_payload_bytes=flat.dispatch_payload_bytes,
-            shm_payload_bytes=shm.dispatch_payload_bytes,
+            flat_payload_bytes=flat_bytes,
+            shm_payload_bytes=shm_bytes,
             ratio=round(ratio, 1),
             bit_identical=identical,
         )
@@ -78,7 +94,10 @@ def test_sec6d_shm_transport_shrinks_dispatch(profile, record_table):
             # ≥ 10× smaller dispatch payload (the PR's acceptance bar).
             assert ratio >= 10.0, (
                 f"shm payload only {ratio:.1f}x smaller at {n_servers} "
-                f"jurisdictions ({flat.dispatch_payload_bytes} vs "
-                f"{shm.dispatch_payload_bytes} B)"
+                f"jurisdictions ({flat_bytes} vs {shm_bytes} B)"
             )
     record_table("sec6d_transport", table)
+
+
+def _cloaks(flat, k):
+    return extract_cloaks(flat, solve_arrays(flat, k), k)

@@ -8,8 +8,6 @@ measurements: the figure-style aggregate run, and a tight
 microbenchmark of the steady-state request path.
 """
 
-import pytest
-
 from repro.data import uniform_users
 from repro.experiments import run_sec7_cache
 from repro.lbs import CSP, LBSProvider, generate_pois

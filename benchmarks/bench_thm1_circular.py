@@ -5,8 +5,6 @@ grows exponentially with the number of users while the polynomial
 greedy heuristic stays flat (and pays a bounded optimality gap).
 """
 
-import pytest
-
 from repro.experiments import run_thm1
 
 from conftest import run_once

@@ -10,7 +10,6 @@ workload sizes.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 
 import pytest

@@ -25,7 +25,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.binary_dp import solve
+from repro.core.binary_dp import solve_object
 from repro.core.flat_dp import extract_cloaks, solve_arrays
 from repro.core.geometry import Rect
 from repro.data import uniform_users
@@ -61,7 +61,7 @@ def run_smoke() -> dict:
     )
     timings["flat_solve"], vecs = _best(solve_arrays, flat, K)
     timings["flat_extract"], cloaks = _best(extract_cloaks, flat, vecs, K)
-    timings["object_solve"], __ = _best(solve, tree, K, engine="object")
+    timings["object_solve"], __ = _best(solve_object, tree, K)
     assert len(cloaks) == N
     timings["fig4a_point"], result = _best(
         parallel_bulk_anonymize, REGION, db, K, 1

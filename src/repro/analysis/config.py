@@ -14,7 +14,7 @@ cased inside the rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
 __all__ = ["AnalysisConfig", "DEFAULT_CONFIG"]

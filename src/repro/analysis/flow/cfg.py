@@ -35,7 +35,7 @@ DESIGN.md §14 for the residual blind spots.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 __all__ = ["Block", "CFG", "build_cfg"]
 

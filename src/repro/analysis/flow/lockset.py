@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..config import AnalysisConfig
 from ..model import TraceStep

@@ -19,7 +19,7 @@ clients' lattices are finite, so the cap is a belt-and-braces guard).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .cfg import CFG
 

@@ -1,8 +1,9 @@
 """DT: the DP kernels must stay bit-identical across engines/restores.
 
-PR 2 made ``engine="flat"`` the default precisely because its outputs
-are bit-identical to the object oracle; PR 3's journal restore and
-PR 4's async gateway both *verify* cloaks by exact equality.  Any
+``solve`` takes the flat engine for every binary tree precisely because
+its outputs are bit-identical to the object oracle (``solve_object``);
+the journal restore and the async gateway both *verify* cloaks by
+exact equality.  Any
 nondeterminism inside the kernels (``core/bulk_dp.py``,
 ``core/binary_dp.py``, ``core/flat_dp.py``, ``trees/flat.py``) breaks
 those equalities invisibly — tests that compare engines would flake

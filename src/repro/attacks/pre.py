@@ -19,7 +19,6 @@ import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ReproError
-from ..core.geometry import Rect
 from ..core.policy import CloakingPolicy
 from ..core.requests import AnonymizedRequest, ServiceRequest, masks
 

@@ -15,15 +15,20 @@ users move (§IV "Incremental Maintenance of M", evaluated in Fig 5(b)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from ..core.locationdb import LocationDatabase
 from ..trees.binarytree import BinaryTree
 from .binary_dp import TreeSolution, resolve_dirty, solve
-from .errors import ReproError
+from .errors import RecoveryError, ReproError
 from .geometry import Point, Rect
 from .policy import CloakingPolicy
 from .requests import AnonymizedRequest, ServiceRequest, request_id_factory
+
+if TYPE_CHECKING:
+    from ..robustness.degrade import DegradationEvent
+    from ..robustness.recovery import RecoveredSnapshot
+    from ..trajectory.constraint import ContinuityConstraint
 
 __all__ = ["PolicyAwareAnonymizer", "IncrementalAnonymizer", "UpdateReport"]
 
@@ -42,10 +47,6 @@ class PolicyAwareAnonymizer:
         Binary-tree depth limit; two binary levels make one quad level.
     prune:
         Apply the Lemma-5 search-space cap (keep True outside ablations).
-    engine:
-        DP evaluator — ``"flat"`` (default) for the level-batched
-        structure-of-arrays engine, ``"object"`` for the original
-        node-at-a-time oracle.  Identical costs either way.
     """
 
     def __init__(
@@ -54,7 +55,6 @@ class PolicyAwareAnonymizer:
         k: int,
         max_depth: int = 40,
         prune: bool = True,
-        engine: str = "flat",
     ):
         if k < 1:
             raise ReproError(f"k must be ≥ 1, got {k}")
@@ -62,7 +62,6 @@ class PolicyAwareAnonymizer:
         self.k = k
         self.max_depth = max_depth
         self.prune = prune
-        self.engine = engine
         self.tree: Optional[BinaryTree] = None
         self.solution: Optional[TreeSolution] = None
         self._policy: Optional[CloakingPolicy] = None
@@ -75,9 +74,7 @@ class PolicyAwareAnonymizer:
         self.tree = BinaryTree.build(
             self.region, db, self.k, max_depth=self.max_depth
         )
-        self.solution = solve(
-            self.tree, self.k, prune=self.prune, engine=self.engine
-        )
+        self.solution = solve(self.tree, self.k, prune=self.prune)
         self._policy = None  # extracted lazily
         return self
 
@@ -141,27 +138,90 @@ class IncrementalAnonymizer(PolicyAwareAnonymizer):
     """
 
     def restore(
-        self,
-        db: LocationDatabase,
-        policy: CloakingPolicy,
-        solution: Optional[TreeSolution] = None,
+        self, db: LocationDatabase, policy: CloakingPolicy
     ) -> "IncrementalAnonymizer":
-        """Adopt journalled state instead of re-running bulk anonymization.
+        """Adopt a known policy for ``db`` instead of running bulk
+        anonymization.
 
-        The recovery path of a restarted CSP: rebuild the (deterministic)
-        tree for snapshot ``db`` — cheap relative to the DP — and serve
-        the recovered ``policy`` directly.  With ``solution`` (rehydrated
-        DP state, see :func:`repro.core.flat_dp.rehydrate_solution`) the
-        next :meth:`update` repairs incrementally; without it the first
-        :meth:`update` falls back to one bulk solve, but serving works
-        immediately either way.
+        Rebuilds the (deterministic) tree for snapshot ``db`` — cheap
+        relative to the DP — and serves ``policy`` directly, with no DP
+        state: :meth:`recover` warms it from a journal sidecar, and
+        otherwise the first :meth:`update` falls back to one bulk solve.
+        Serving works immediately either way.
         """
         self.tree = BinaryTree.build(
             self.region, db, self.k, max_depth=self.max_depth
         )
-        self.solution = solution
+        self.solution = None
         self._policy = policy
         return self
+
+    # -- journal format -------------------------------------------------------
+
+    def fingerprint(self) -> Dict[str, object]:
+        """What must match for journalled state to be adoptable here."""
+        return {
+            "k": self.k,
+            "max_depth": self.max_depth,
+            "prune": self.prune,
+            "region": list(self.region.as_tuple()),
+        }
+
+    @classmethod
+    def recover(
+        cls,
+        snapshot: "RecoveredSnapshot",
+        trajectory: Optional["ContinuityConstraint"] = None,
+    ) -> Tuple["IncrementalAnonymizer", "DegradationEvent"]:
+        """Build the anonymizer a journal-recovered snapshot describes.
+
+        The journalled :meth:`fingerprint` configures the anonymizer; a
+        missing or malformed field fails closed with
+        :class:`~repro.core.errors.RecoveryError` (``reason=
+        "fingerprint"``).  The committed policy serves immediately, and
+        the DP sidecar, when it validates against the rebuilt tree,
+        warms the solution so the next :meth:`update` repairs
+        incrementally.  A journalled trajectory ledger is adopted into
+        ``trajectory``.  Returns the anonymizer and the "recovered"
+        degradation event for the caller's timeline.
+        """
+        from ..robustness.degrade import DegradationEvent
+        from ..robustness.recovery import rehydrate_flat_solution
+
+        fp = snapshot.fingerprint
+        try:
+            region = fp["region"]
+            if not isinstance(region, (list, tuple)):
+                raise TypeError(f"region is {region!r}, not a list")
+            anonymizer = cls(
+                Rect(*[float(v) for v in region]),
+                int(fp["k"]),  # type: ignore[arg-type]
+                max_depth=int(fp.get("max_depth", 40)),  # type: ignore[arg-type]
+                prune=bool(fp.get("prune", True)),
+            )
+        except (KeyError, TypeError, ValueError, ReproError) as exc:
+            raise RecoveryError(
+                f"journal fingerprint {fp!r} cannot configure an "
+                f"anonymizer: {exc!r}",
+                reason="fingerprint",
+            ) from exc
+        anonymizer.restore(snapshot.policy.db, snapshot.policy)
+        anonymizer.solution = rehydrate_flat_solution(
+            anonymizer.tree, snapshot, anonymizer.k, prune=anonymizer.prune
+        )
+        if trajectory is not None and snapshot.trajectory is not None:
+            # Resume continuity state: post-restart cloak choices must
+            # keep honoring the pre-crash served history.
+            trajectory.ledger.adopt_state(snapshot.trajectory)
+        event = DegradationEvent(
+            level="recovered",
+            reason="restart",
+            detail=(
+                f"serial {snapshot.serial}, age {snapshot.policy_age}, "
+                f"dp={'warm' if anonymizer.solution else 'cold'}"
+            ),
+        )
+        return anonymizer, event
 
     def update(self, moves: Mapping[str, Point]) -> UpdateReport:
         """Advance to the next snapshot where ``moves`` users relocated."""
@@ -171,9 +231,7 @@ class IncrementalAnonymizer(PolicyAwareAnonymizer):
         if self.solution is None:
             # Cold-restored (no journalled DP state): the first repair
             # is a full re-solve of the already-updated tree.
-            self.solution = solve(
-                self.tree, self.k, prune=self.prune, engine=self.engine
-            )
+            self.solution = solve(self.tree, self.k, prune=self.prune)
             recomputed = len(self.tree)
         else:
             self.solution, recomputed = resolve_dirty(self.solution, dirty)

@@ -40,7 +40,7 @@ from .configuration import Configuration, policy_from_configuration
 from .errors import NoFeasiblePolicyError, ReproError
 from .policy import CloakingPolicy
 
-__all__ = ["NodeSolution", "TreeSolution", "solve", "resolve_dirty"]
+__all__ = ["NodeSolution", "TreeSolution", "solve", "solve_object", "resolve_dirty"]
 
 _INF = float("inf")
 
@@ -367,8 +367,12 @@ class TreeSolution:
         return best
 
 
-def _solve_object(tree, k: int, prune: bool) -> TreeSolution:
-    """The node-at-a-time object-graph DP (cross-check oracle)."""
+def solve_object(tree, k: int, prune: bool = True) -> TreeSolution:
+    """The node-at-a-time object-graph DP.
+
+    The only evaluator for n-ary (quad) trees, and the oracle the flat
+    engine is asserted bit-identical against on binary trees.
+    """
     solutions: Dict[int, NodeSolution] = {}
     for node in tree.iter_postorder():
         child_solutions = [solutions[c.node_id] for c in node.children]
@@ -376,7 +380,7 @@ def _solve_object(tree, k: int, prune: bool) -> TreeSolution:
     return TreeSolution(tree, k, prune, solutions)
 
 
-def solve(tree, k: int, prune: bool = True, engine: str = "flat") -> TreeSolution:
+def solve(tree, k: int, prune: bool = True) -> TreeSolution:
     """Run the optimized DP over ``tree`` for anonymity degree ``k``.
 
     ``prune=True`` applies the Lemma-5 cap — proven for the binary tree,
@@ -384,23 +388,18 @@ def solve(tree, k: int, prune: bool = True, engine: str = "flat") -> TreeSolutio
     get the unpruned reference behaviour (used by tests and the ablation
     benchmark).
 
-    ``engine`` selects the evaluator: ``"flat"`` (default) compiles the
-    tree to structure-of-arrays form and runs the level-batched kernels
-    of :mod:`repro.core.flat_dp` — bit-identical costs, much faster;
-    ``"object"`` forces the original node-at-a-time walk (the oracle the
-    property tests compare against).  Non-binary trees (the quad-tree
-    reference instances) always take the object path.
+    Binary trees are compiled to structure-of-arrays form and solved by
+    the level-batched kernels of :mod:`repro.core.flat_dp`; n-ary trees
+    (the quad-tree reference instances) take :func:`solve_object`.  The
+    two agree bit-for-bit on every binary tree.
     """
     if k < 1:
         raise ReproError(f"k must be ≥ 1, got {k}")
-    if engine not in ("flat", "object"):
-        raise ReproError(f"unknown solver engine {engine!r}")
-    if engine == "flat":
-        from .flat_dp import is_binary_tree, solve_flat
+    from .flat_dp import is_binary_tree, solve_flat
 
-        if is_binary_tree(tree):
-            return solve_flat(tree, k, prune=prune)
-    return _solve_object(tree, k, prune)
+    if is_binary_tree(tree):
+        return solve_flat(tree, k, prune=prune)
+    return solve_object(tree, k, prune)
 
 
 def solve_best_orientation(
@@ -409,8 +408,6 @@ def solve_best_orientation(
     k: int,
     max_depth: int = 40,
     prune: bool = True,
-    pool=None,
-    engine: str = "flat",
 ) -> TreeSolution:
     """Solve both static binary-tree orientations and keep the cheaper.
 
@@ -423,14 +420,12 @@ def solve_best_orientation(
 
     The two builds share one row index (user ids / row map / coords) —
     the leaf partition itself differs per orientation, but the point
-    data does not.  With ``pool`` (any ``concurrent.futures`` executor,
-    e.g. the parallel engine's process pool) the two DP runs execute
-    concurrently: each orientation is compiled to flat arrays, shipped
-    to a worker, and only the cost vectors come back.
+    data does not.
     """
     from ..trees.binarytree import BinaryTree
 
-    trees = []
+    best: Optional[TreeSolution] = None
+    best_cost = float("inf")
     shared_index = None
     for orientation in ("vertical", "horizontal"):
         tree = BinaryTree.build(
@@ -443,24 +438,7 @@ def solve_best_orientation(
         )
         if shared_index is None:
             shared_index = (tree.user_ids, tree.user_row, tree.coords)
-        trees.append(tree)
-
-    if pool is not None and engine == "flat":
-        from ..trees.flat import FlatTree
-        from .flat_dp import solution_from_vecs, solve_arrays
-
-        flats = [FlatTree.compile(t) for t in trees]
-        futures = [pool.submit(solve_arrays, f, k, prune) for f in flats]
-        candidates = [
-            solution_from_vecs(tree, flat, fut.result(), k, prune)
-            for tree, flat, fut in zip(trees, flats, futures)
-        ]
-    else:
-        candidates = [solve(t, k, prune=prune, engine=engine) for t in trees]
-
-    best: Optional[TreeSolution] = None
-    best_cost = float("inf")
-    for solution in candidates:
+        solution = solve(tree, k, prune=prune)
         try:
             cost = solution.optimal_cost
         except NoFeasiblePolicyError:

@@ -110,9 +110,9 @@ class RecoveryError(ReproError):
 
     Raised by the crash-consistent snapshot store when the journal or a
     committed snapshot fails validation (truncation, checksum mismatch,
-    engine-fingerprint mismatch, stale db-serial).  The store fails
-    closed: a CSP that cannot prove its recovered policy is the one it
-    journalled refuses to serve rather than risk a non-masking or
+    mismatched or malformed fingerprint, stale db-serial).  The store
+    fails closed: a CSP that cannot prove its recovered policy is the one
+    it journalled refuses to serve rather than risk a non-masking or
     wrong-snapshot policy.
     """
 

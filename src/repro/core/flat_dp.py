@@ -15,7 +15,8 @@ Every floating-point candidate is produced by the *same* arithmetic
 expression the object solver uses (one add for min-plus terms, one
 multiply-by-area per cloak term), and minima are order-independent, so
 the engine is **bit-identical** to the object solver — enforced by the
-property tests and relied on by the ``engine="flat"`` default switch.
+property tests and relied on by :func:`~repro.core.binary_dp.solve`,
+which takes this engine for every binary tree.
 
 A :class:`SubtreeMemo` hash-conses solved subtrees: two subtrees with
 equal ``(count, Lemma-5 cap, area, child fingerprints)`` have equal
@@ -46,7 +47,6 @@ __all__ = [
     "solve_flat",
     "resolve_dirty_flat",
     "solve_arrays",
-    "solution_from_vecs",
     "rehydrate_solution",
     "extract_cloaks",
     "is_binary_tree",
@@ -366,21 +366,6 @@ class FlatTreeSolution(TreeSolution):
         self.tokens = tokens
 
 
-def solution_from_vecs(
-    tree, flat: FlatTree, vecs: Sequence[np.ndarray], k: int, prune: bool
-) -> FlatTreeSolution:
-    """Wrap pool-computed cost vectors (``solve_arrays`` output) into a
-    full :class:`FlatTreeSolution` — used by the orientation pool path,
-    where fingerprint tokens never crossed the process boundary."""
-    solutions = {
-        int(flat.ids[i]): NodeSolution(int(flat.ids[i]), int(flat.count[i]), vecs[i])
-        for i in range(flat.n_nodes)
-    }
-    return FlatTreeSolution(
-        tree, k, prune, solutions, flat, SubtreeMemo(k, prune), {}
-    )
-
-
 def rehydrate_solution(
     tree, flat: FlatTree, vecs: Sequence[np.ndarray], k: int, prune: bool
 ) -> FlatTreeSolution:
@@ -389,11 +374,10 @@ def rehydrate_solution(
     The warm-restart path of the recovery subsystem: a restarted process
     has the cost vectors (journalled to disk) but neither the subtree
     memo nor the fingerprint tokens, which only ever lived in memory.
-    Unlike :func:`solution_from_vecs` (whose empty memo is fine for a
-    throwaway extraction but would let distinct clean subtrees alias
-    under a shared ``None`` token during repair), this recomputes every
-    node's fingerprint bottom-up exactly as ``_solve_levels`` would and
-    seeds the memo with the persisted vectors — so a subsequent
+    An empty memo would let distinct clean subtrees alias under a shared
+    ``None`` token during repair, so this recomputes every node's
+    fingerprint bottom-up exactly as ``_solve_levels`` would and seeds
+    the memo with the persisted vectors — so a subsequent
     :func:`resolve_dirty_flat` batches and shares exactly as if the
     process had never died.
     """

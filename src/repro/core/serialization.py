@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import os
 import tempfile

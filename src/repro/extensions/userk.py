@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.configuration import ConfigurationError
 from ..core.errors import NoFeasiblePolicyError, ReproError
 from ..core.policy import CloakingPolicy
 

@@ -73,7 +73,6 @@ from ..robustness.recovery import (
     PolicyJournal,
     QuorumJournal,
     RecoveredSnapshot,
-    rehydrate_flat_solution,
 )
 from ..robustness.retry import (
     CircuitBreaker,
@@ -204,9 +203,6 @@ class CSP:
     max_stale_snapshots:
         the bounded age of the "stale" rung: how many consecutive failed
         snapshot repairs may pass before requests are rejected outright.
-    engine:
-        DP evaluator for bulk solves and snapshot repairs — ``"flat"``
-        (default) or ``"object"`` (see :func:`repro.core.binary_dp.solve`).
     journal:
         a :class:`~repro.robustness.recovery.PolicyJournal`: every
         successful (policy, db-serial) pair is committed
@@ -237,11 +233,12 @@ class CSP:
         injector: Optional[FaultInjector] = None,
         clock: Optional[Clock] = None,
         max_stale_snapshots: int = 1,
-        engine: str = "flat",
         journal: Optional[Union[PolicyJournal, QuorumJournal]] = None,
         policy: Optional[CloakingPolicy] = None,
         trajectory: Optional["ContinuityConstraint"] = None,
-        _recovered: Optional[RecoveredSnapshot] = None,
+        _recovered: Optional[
+            Tuple[IncrementalAnonymizer, RecoveredSnapshot]
+        ] = None,
     ):
         self.region = region
         self.k = k
@@ -266,9 +263,6 @@ class CSP:
         self.mpc = MobilePositioningCenter(db, injector=injector)
         self.provider = provider
         self.cache = AnswerCache(provider) if use_cache else None
-        self.anonymizer = IncrementalAnonymizer(
-            region, k, max_depth=max_depth, engine=engine
-        )
         #: consecutive snapshot advances that failed (0 = fresh policy).
         self.policy_age = 0
         #: True between a journal restore and the first successful
@@ -279,64 +273,32 @@ class CSP:
         #: degradation rung transitions, for observability/benches.
         self.events: List[DegradationEvent] = []
         if _recovered is not None:
-            # Journal restart: adopt the committed policy (serving works
-            # immediately), then try to warm the DP so the next repair
-            # goes through resolve_dirty instead of a bulk re-solve.
-            self.anonymizer.restore(
-                _recovered.policy.db, _recovered.policy, solution=None
-            )
-            self.anonymizer.solution = rehydrate_flat_solution(
-                self.anonymizer.tree, _recovered, k, prune=True
-            )
-            # The committed state block is authoritative for staleness:
-            # _snapshot_index tracks the *world* serial, which at commit
-            # time was policy serial + accumulated age.
-            self.policy_age = _recovered.policy_age
-            self._snapshot_index = _recovered.serial + _recovered.policy_age
+            # Journal restart (see restore): the anonymizer already
+            # serves the committed policy.  The committed state block is
+            # authoritative for staleness: _snapshot_index tracks the
+            # *world* serial, which at commit time was policy serial +
+            # accumulated age.
+            self.anonymizer, snapshot = _recovered
+            self.policy_age = snapshot.policy_age
+            self._snapshot_index = snapshot.serial + snapshot.policy_age
             self.restored = True
-            if (
-                self.trajectory is not None
-                and _recovered.trajectory is not None
-            ):
-                # Resume continuity state: post-restart cloak choices
-                # must keep honoring the pre-crash served history.
-                self.trajectory.ledger.adopt_state(_recovered.trajectory)
-            self.events.append(
-                DegradationEvent(
-                    level="recovered",
-                    reason="restart",
-                    detail=(
-                        f"serial {_recovered.serial}, "
-                        f"age {_recovered.policy_age}, "
-                        f"dp={'warm' if self.anonymizer.solution else 'cold'}"
-                    ),
-                )
-            )
-        elif policy is not None:
-            # Adopt a precomputed policy for this exact snapshot without
-            # re-running the bulk DP — the fleet path: the dispatcher
-            # solves once (or restores) and every worker CSP adopts the
-            # same deterministic policy, so cloaks are bit-identical to
-            # a locally-fitted CSP's by construction.
-            self.anonymizer.restore(db, policy, solution=None)
-            self._snapshot_index = 0
-            self._journal_commit()
         else:
-            self.anonymizer.fit(db)
+            self.anonymizer = IncrementalAnonymizer(
+                region, k, max_depth=max_depth
+            )
+            if policy is not None:
+                # Adopt a precomputed policy for this exact snapshot
+                # without re-running the bulk DP — the fleet path: the
+                # dispatcher solves once (or restores) and every worker
+                # CSP adopts the same deterministic policy, so cloaks are
+                # bit-identical to a locally-fitted CSP's by construction.
+                self.anonymizer.restore(db, policy)
+            else:
+                self.anonymizer.fit(db)
             self._snapshot_index = 0
             self._journal_commit()
 
     # -- durability ----------------------------------------------------------
-
-    def _fingerprint(self) -> Dict[str, object]:
-        """What must match for journalled state to be adoptable here."""
-        return {
-            "engine": self.anonymizer.engine,
-            "k": self.k,
-            "max_depth": self.anonymizer.max_depth,
-            "prune": self.anonymizer.prune,
-            "region": list(self.region.as_tuple()),
-        }
 
     def _serving_rung(self) -> str:
         """The rung a request admitted right now would be labelled with."""
@@ -375,7 +337,7 @@ class CSP:
             self.journal.commit(
                 self.anonymizer.policy,
                 self._snapshot_index - self.policy_age,
-                self._fingerprint(),
+                self.anonymizer.fingerprint(),
                 solution=self.anonymizer.solution,
                 state=state,
             )
@@ -418,26 +380,25 @@ class CSP:
             current_serial=current_serial,
             max_stale_snapshots=max_stale_snapshots,
         )
-        fp = snapshot.fingerprint
-        region = Rect(*fp["region"])
+        anonymizer, event = IncrementalAnonymizer.recover(snapshot, trajectory)
         csp = cls(
-            region,
-            int(fp["k"]),
+            anonymizer.region,
+            anonymizer.k,
             snapshot.policy.db,
             provider,
             use_cache,
-            int(fp.get("max_depth", 40)),
+            anonymizer.max_depth,
             retry_policy=retry_policy,
             circuit_breaker=circuit_breaker,
             provider_deadline=provider_deadline,
             injector=injector,
             clock=clock,
             max_stale_snapshots=max_stale_snapshots,
-            engine=str(fp.get("engine", "flat")),
             journal=journal,
             trajectory=trajectory,
-            _recovered=snapshot,
+            _recovered=(anonymizer, snapshot),
         )
+        csp.events.append(event)
         if current_serial is not None:
             # The world may have moved on while we were down; staleness
             # is whichever is worse — the journalled age or the distance

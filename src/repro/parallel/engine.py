@@ -8,6 +8,13 @@ default ``simulated`` execution mode reports, running servers
 sequentially and timing each.  A ``process`` mode additionally runs the
 servers in real OS processes for end-to-end sanity.
 
+Either way the master compiles each jurisdiction's subtree of the
+partition tree into a :class:`~repro.trees.flat.FlatTree`.  A simulated
+server solves those arrays in-process; a process-mode worker receives a
+:class:`~repro.trees.flat.SharedTreeHandle` and maps the master's
+published blocks read-only, so no copy of the spatial structure crosses
+the pipe.
+
 Utility caveat measured in §VI-D: a cloak that would optimally span two
 jurisdictions must be replaced by a larger intra-jurisdiction cloak, so
 the distributed cost can exceed the single-server optimum — by <1% even
@@ -39,7 +46,6 @@ re-solves of lost work are charged to ``ParallelResult.recovery_seconds``
 
 from __future__ import annotations
 
-import pickle
 import time
 from contextlib import contextmanager
 from concurrent.futures import ProcessPoolExecutor
@@ -104,10 +110,6 @@ class ParallelResult:
     #: (dead jurisdiction, shard, adopter) per hand-off shard; the
     #: adopter is ``-1`` when no survivor could take the shard.
     handoffs: Tuple[Tuple[int, int, int], ...] = ()
-    #: bytes of per-jurisdiction payload the chosen transport would put
-    #: on the wire (pickled task payloads) — the cost ``transport='shm'``
-    #: collapses to a per-jurisdiction handle.
-    dispatch_payload_bytes: int = 0
 
     @property
     def n_servers(self) -> int:
@@ -168,8 +170,9 @@ def _solve_jurisdiction(
     max_depth: int,
     kill: bool = False,
 ) -> Tuple[Dict[str, Tuple[float, float, float, float]], float]:
-    """One server's work, in picklable terms (also the process-mode
-    worker): returns ``{user_id: cloak rect tuple}`` and elapsed time.
+    """One server's work from raw point rows, in picklable terms (the
+    hand-off shard solver): returns ``{user_id: cloak rect tuple}`` and
+    elapsed time.
 
     ``kill`` is the real-kill chaos hook: the worker SIGKILLs its own
     process after the DP and before extraction — an uncatchable death
@@ -190,13 +193,13 @@ def _solve_jurisdiction(
 def _solve_jurisdiction_flat(
     flat: FlatTree, k: int, kill: bool = False
 ) -> Tuple[Dict[str, Tuple[float, float, float, float]], float]:
-    """One server's work over a pre-compiled flat subtree.
+    """One server's work over a pre-compiled flat subtree (in-process in
+    simulated mode).
 
     The master already owns the spatial structure (the partition tree),
-    so instead of re-deriving it from raw point rows the worker receives
-    the jurisdiction's structure-of-arrays slice — a handful of numpy
-    buffers that pickle in microseconds — and goes straight to the
-    level-batched DP plus standalone extraction.  ``kill`` as in
+    so instead of re-deriving it from raw point rows the server takes
+    the jurisdiction's structure-of-arrays slice and goes straight to
+    the level-batched DP plus standalone extraction.  ``kill`` as in
     :func:`_solve_jurisdiction`.
     """
     start = time.perf_counter()
@@ -210,28 +213,20 @@ def _solve_jurisdiction_flat(
 def _solve_jurisdiction_shm(
     handle: SharedTreeHandle, k: int, kill: bool = False
 ) -> Tuple[Dict[str, Tuple[float, float, float, float]], float]:
-    """One server's work over a *published* flat subtree.
+    """One process-mode worker's work over a *published* flat subtree.
 
     The worker receives only a :class:`SharedTreeHandle` (a few hundred
     bytes however large the jurisdiction) and maps the master's numpy
     blocks read-only — zero copies of the spatial structure cross the
-    process boundary.  The attachment is scoped to the solve: views are
-    dropped before ``close()`` (they dangle afterwards), and only plain
-    cloak tuples leave the function.  ``kill`` as in
+    process boundary.  The attachment is scoped to the solve, and only
+    plain cloak tuples leave it.  ``kill`` as in
     :func:`_solve_jurisdiction`.
     """
-    start = time.perf_counter()
     shared = SharedFlatTree.attach(handle)
     try:
-        flat = shared.tree
-        vecs = solve_arrays(flat, k)
-        if kill:
-            kill_current_process()
-        cloaks = extract_cloaks(flat, vecs, k)
-        del flat, vecs
+        return _solve_jurisdiction_flat(shared.tree, k, kill)
     finally:
         shared.close()
-    return cloaks, time.perf_counter() - start
 
 
 def _policy_from_cloaks(
@@ -247,17 +242,17 @@ def _policy_from_cloaks(
     )
 
 
-#: what a dispatch ships per jurisdiction: compiled arrays, a shared
-#: segment handle, or nothing (raw rows ride alongside regardless).
+#: what a dispatch ships per jurisdiction: the compiled arrays
+#: (simulated), a shared segment handle (process), or nothing for an
+#: empty jurisdiction.  Raw rows ride alongside regardless.
 TaskPayload = Union[FlatTree, SharedTreeHandle, None]
 
 
 def _attempt_simulated(
     jur: Jurisdiction,
     rows,
-    payload: TaskPayload,
+    flat: FlatTree,
     k: int,
-    max_depth: int,
     attempt: int,
     injector: Optional[FaultInjector],
     timeout: Optional[float],
@@ -278,14 +273,7 @@ def _attempt_simulated(
             kind=kind,
         ) from exc
     try:
-        if isinstance(payload, SharedTreeHandle):
-            cloaks, elapsed = _solve_jurisdiction_shm(payload, k)
-        elif payload is not None:
-            cloaks, elapsed = _solve_jurisdiction_flat(payload, k)
-        else:
-            cloaks, elapsed = _solve_jurisdiction(
-                jur.rect.as_tuple(), rows, k, max_depth
-            )
+        cloaks, elapsed = _solve_jurisdiction_flat(flat, k)
     except Exception as exc:  # real solver errors carry the node id too
         raise JurisdictionSolveError(
             f"jurisdiction {jur.node_id} ({len(rows)} users) failed: {exc}",
@@ -379,7 +367,6 @@ def parallel_bulk_anonymize(
     retry_policy: Optional[RetryPolicy] = None,
     jurisdiction_timeout: Optional[float] = None,
     on_failure: str = "raise",
-    transport: str = "flat",
     kill_plan: Optional[KillPlan] = None,
     pool_workers: Optional[int] = None,
 ) -> ParallelResult:
@@ -389,27 +376,22 @@ def parallel_bulk_anonymize(
     reports each one's time — the faithful share-nothing idealization.
     ``mode='process'`` runs them in a real process pool.
 
-    ``partition_tree`` lets callers reuse a pre-built tree for the
-    greedy partitioning step.
+    ``partition_tree`` lets callers reuse a tree built over this very
+    snapshot (``partition_tree.db is db``) for the greedy partitioning
+    step; a tree built over any other snapshot is rejected with
+    :class:`~repro.core.errors.ReproError` before any work starts.
 
-    ``transport`` selects what a server receives.  With ``'flat'`` (the
-    default) the master compiles each jurisdiction's subtree of the
-    partition tree into :class:`~repro.trees.flat.FlatTree` arrays
-    (depths rebased to the jurisdiction root, leaf→point index and
-    geometry attached) and ships those; workers run the level-batched DP
-    and standalone extraction directly on the arrays.  Compilation is
-    master-side prep and is charged to ``partition_seconds``, like the
-    partitioning itself.  With ``'shm'`` the compiled arrays are instead
-    *published once* into :class:`~repro.trees.flat.SharedFlatTree`
-    segments and workers receive only the few-hundred-byte handles,
-    mapping the master's blocks read-only — zero per-dispatch copies;
-    segments are owner-unlinked on every exit path, and
-    ``ParallelResult.dispatch_payload_bytes`` records what each
-    transport actually puts on the wire.  With ``'rows'`` each server
-    receives raw ``(uid, x, y)`` rows and rebuilds its own tree over its
-    territory, as in the paper — the reference behaviour, and the
-    fallback for callers that hand in a ``partition_tree`` from a
-    *different* snapshot than ``db``.
+    The master compiles each jurisdiction's subtree of the partition
+    tree into :class:`~repro.trees.flat.FlatTree` arrays (depths rebased
+    to the jurisdiction root, leaf→point index and geometry attached);
+    servers run the level-batched DP and standalone extraction directly
+    on the arrays.  A simulated server takes the arrays in-process.  In
+    ``mode='process'`` they are *published once* into
+    :class:`~repro.trees.flat.SharedFlatTree` segments and workers
+    receive only the few-hundred-byte handles, mapping the master's
+    blocks read-only; segments are owner-unlinked on every exit path.
+    Compilation and publishing are master-side prep and are charged to
+    ``partition_seconds``, like the partitioning itself.
 
     ``pool_workers`` pins the process-pool size (``mode='process'``
     only); rebuilds after a worker death reuse the resolved size.
@@ -445,12 +427,15 @@ def parallel_bulk_anonymize(
         raise ReproError(f"unknown execution mode {mode!r}")
     if on_failure not in ("raise", "degrade", "handoff"):
         raise ReproError(f"unknown on_failure mode {on_failure!r}")
-    if transport not in ("flat", "shm", "rows"):
-        raise ReproError(f"unknown transport {transport!r}")
     if kill_plan is not None and mode != "process":
         raise ReproError(
             "kill_plan schedules real worker kills and requires "
             "mode='process'; use a FaultInjector for simulated crashes"
+        )
+    if partition_tree is not None and partition_tree.db is not db:
+        raise ReproError(
+            "partition_tree was built over a different snapshot than db; "
+            "pass the tree's own db or let the call build the tree"
         )
     t0 = time.perf_counter()
     if partition_tree is None:
@@ -467,14 +452,14 @@ def parallel_bulk_anonymize(
     tasks = []
     for jur in jurisdictions:
         users = member_rows[jur.node_id]
-        # Raw rows back every task regardless of transport: the degrade
-        # fallback and the master-side policy assembly need them.
+        # Raw rows back every task: the degrade fallback, the hand-off
+        # shards and the master-side policy assembly need them.
         rows = [
             (uid, db.location_of(uid).x, db.location_of(uid).y)
             for uid in users
         ]
         payload: TaskPayload = None
-        if transport in ("flat", "shm") and rows:
+        if rows:
             payload = FlatTree.compile(
                 partition_tree,
                 root=partition_tree.nodes[jur.node_id],
@@ -482,7 +467,7 @@ def parallel_bulk_anonymize(
             )
         tasks.append((jur, rows, payload))
     published: List[SharedFlatTree] = []
-    if transport == "shm":
+    if mode == "process":
         try:
             for i, (jur, rows, payload) in enumerate(tasks):
                 if isinstance(payload, FlatTree):
@@ -495,12 +480,6 @@ def parallel_bulk_anonymize(
                 shared.close()
             raise
     partition_seconds = time.perf_counter() - t0
-    # What this transport would put on the wire per dispatch (measured
-    # outside the timed sections: it is bookkeeping, not solve work).
-    dispatch_payload_bytes = sum(
-        len(pickle.dumps(payload if payload is not None else rows))
-        for __, rows, payload in tasks
-    )
 
     max_attempts = retry_policy.max_attempts if retry_policy else 1
     policies: Dict[int, Optional[CloakingPolicy]] = {}
@@ -534,7 +513,6 @@ def parallel_bulk_anonymize(
                     pool,
                     pending,
                     k,
-                    max_depth,
                     round_no,
                     injector,
                     jurisdiction_timeout,
@@ -558,7 +536,6 @@ def parallel_bulk_anonymize(
                                 rows,
                                 payload,
                                 k,
-                                max_depth,
                                 round_no,
                                 injector,
                                 jurisdiction_timeout,
@@ -731,7 +708,6 @@ def parallel_bulk_anonymize(
         recoveries=recoveries,
         recovery_seconds=recovery_seconds,
         handoffs=tuple(handoffs),
-        dispatch_payload_bytes=dispatch_payload_bytes,
     )
 
 
@@ -750,9 +726,8 @@ def _crash_error(
 
 def _process_round(
     pool: _ProcessPool,
-    pending: Sequence[Tuple[Jurisdiction, list, TaskPayload]],
+    pending: Sequence[Tuple[Jurisdiction, list, SharedTreeHandle]],
     k: int,
-    max_depth: int,
     attempt: int,
     injector: Optional[FaultInjector],
     timeout: Optional[float],
@@ -785,14 +760,8 @@ def _process_round(
     breaks = 0
     rebuild_seconds = 0.0
 
-    def submit(jur, rows, payload, kill):
-        if isinstance(payload, SharedTreeHandle):
-            return pool.pool.submit(_solve_jurisdiction_shm, payload, k, kill)
-        if payload is not None:
-            return pool.pool.submit(_solve_jurisdiction_flat, payload, k, kill)
-        return pool.pool.submit(
-            _solve_jurisdiction, jur.rect.as_tuple(), rows, k, max_depth, kill
-        )
+    def submit(handle, kill):
+        return pool.pool.submit(_solve_jurisdiction_shm, handle, k, kill)
 
     def injected_error(jur, rows):
         if injector is None:
@@ -873,7 +842,7 @@ def _process_round(
                 and kill_plan.should_kill(jur.node_id, attempt)
             )
             try:
-                future = submit(jur, rows, payload, kill)
+                future = submit(payload, kill)
             except BrokenProcessPool as exc:
                 breaks += 1
                 rebuild_seconds += pool.rebuild()
@@ -899,7 +868,7 @@ def _process_round(
             submissions.append((jur, rows, None, extra, error))
             continue
         try:
-            future = submit(jur, rows, payload, kill)
+            future = submit(payload, kill)
         except BrokenProcessPool as exc:
             # An earlier kill already broke the pool; this jurisdiction
             # never ran — a crash casualty, retried next round.

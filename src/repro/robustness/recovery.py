@@ -17,7 +17,7 @@ and (3) leaves an intent without a commit, which recovery skips, falling
 back to the previous committed serial.  Anything *else* that fails
 validation — a journal line corrupted in the middle of the history, a
 committed snapshot whose checksum no longer matches, an embedded serial
-disagreeing with the journal, an engine fingerprint from a different
+disagreeing with the journal, a fingerprint from a different
 deployment — is storage corruption, not a crash, and recovery **fails
 closed** with :class:`~repro.core.errors.RecoveryError` rather than
 serve state it cannot prove it journalled.  The policy payload itself is
@@ -486,9 +486,9 @@ class PolicyJournal:
     ) -> RecoveredSnapshot:
         """Load the newest committed snapshot, failing closed on doubt.
 
-        ``fingerprint`` (when given) must match the committed engine
+        ``fingerprint`` (when given) must match the committed
         fingerprint key-for-key — a policy solved under a different
-        ``k``/region/engine is not valid state for this deployment.
+        ``k``/region/prune is not valid state for this deployment.
         ``current_serial`` is the world's present db serial (e.g. the
         MPC's); recovery refuses when the journalled policy is more than
         ``max_stale_snapshots`` behind it, exactly like the serving-side
@@ -544,7 +544,7 @@ class PolicyJournal:
             for key, value in dict(fingerprint).items():
                 if committed_fp.get(key) != value:
                     raise RecoveryError(
-                        f"engine fingerprint mismatch on {key!r}: "
+                        f"fingerprint mismatch on {key!r}: "
                         f"journal has {committed_fp.get(key)!r}, "
                         f"deployment expects {value!r}",
                         reason="fingerprint",

@@ -25,7 +25,7 @@ waiters cannot trip a breaker a thousand times.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ReproError

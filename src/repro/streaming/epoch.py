@@ -73,7 +73,6 @@ from ..robustness.recovery import (
     PolicyJournal,
     QuorumJournal,
     RecoveredSnapshot,
-    rehydrate_flat_solution,
 )
 from ..trees.flat import FlatTree, SharedFlatTree
 from .ingest import DirtyAccumulator, Moves
@@ -258,7 +257,6 @@ class EpochManager:
         *,
         max_depth: int = 40,
         prune: bool = True,
-        engine: str = "flat",
         journal: Optional[Journal] = None,
         max_stale_snapshots: int = 1,
         coarsen_grace: int = 1,
@@ -266,7 +264,9 @@ class EpochManager:
         injector: Optional[FaultInjector] = None,
         swap_chaos: Optional[Callable[[str], None]] = None,
         trajectory: Optional["ContinuityConstraint"] = None,
-        _recovered: Optional[RecoveredSnapshot] = None,
+        _recovered: Optional[
+            Tuple[IncrementalAnonymizer, RecoveredSnapshot]
+        ] = None,
     ) -> None:
         self.region = region
         self.k = k
@@ -290,40 +290,20 @@ class EpochManager:
         self._swap_lock = threading.Lock()  # serializes advance()
         self._lingering: List[Epoch] = []  # guarded-by: self._lock
         self._coarse: Dict[Tuple[int, int], Dict[Rect, Rect]] = {}  # guarded-by: self._lock
-        self._shadow = IncrementalAnonymizer(
-            region, k, max_depth=max_depth, prune=prune, engine=engine
-        )
         self._active: Optional[Epoch] = None  # guarded-by: self._lock
         if _recovered is not None:
-            self._shadow.restore(
-                _recovered.policy.db, _recovered.policy, solution=None
-            )
-            self._shadow.solution = rehydrate_flat_solution(
-                self._shadow.tree, _recovered, k, prune=prune
-            )
-            self._world_serial = _recovered.serial + _recovered.policy_age  # guarded-by: self._lock
-            if (
-                self.trajectory is not None
-                and _recovered.trajectory is not None
-            ):
-                self.trajectory.ledger.adopt_state(_recovered.trajectory)
-            self._install(
-                _recovered.serial, _recovered.policy, origin="restore"
-            )
-            self.events.append(
-                DegradationEvent(
-                    level="recovered",
-                    reason="restart",
-                    detail=(
-                        f"serial {_recovered.serial}, "
-                        f"age {_recovered.policy_age}, "
-                        f"dp={'warm' if self._shadow.solution else 'cold'}"
-                    ),
-                )
-            )
+            # Journal restart (see restore): the shadow already serves
+            # the committed policy; staleness resumes from the state
+            # block.
+            self._shadow, snapshot = _recovered
+            self._world_serial = snapshot.serial + snapshot.policy_age  # guarded-by: self._lock
+            self._install(snapshot.serial, snapshot.policy, origin="restore")
         else:
             if db is None:
                 raise ReproError("EpochManager needs a db (or _recovered)")
+            self._shadow = IncrementalAnonymizer(
+                region, k, max_depth=max_depth, prune=prune
+            )
             self._shadow.fit(db)
             self._world_serial = 0  # guarded-by: self._lock
             policy = self._shadow.policy
@@ -535,7 +515,6 @@ class EpochManager:
             self.k,
             max_depth=self._shadow.max_depth,
             prune=self._shadow.prune,
-            engine=self._shadow.engine,
         )
         oracle.fit(target.db)
         return oracle.policy
@@ -648,17 +627,6 @@ class EpochManager:
         self.swaps.append(swap)
         return swap
 
-    def _fingerprint(self) -> Dict[str, object]:
-        """Adoptability key — matches ``CSP._fingerprint`` field-for-field
-        so epoch journals and pipeline journals are interchangeable."""
-        return {
-            "engine": self._shadow.engine,
-            "k": self.k,
-            "max_depth": self._shadow.max_depth,
-            "prune": self._shadow.prune,
-            "region": list(self.region.as_tuple()),
-        }
-
     def _commit(
         self,
         policy: CloakingPolicy,
@@ -683,7 +651,7 @@ class EpochManager:
                 self.journal.commit(
                     policy,
                     serial,
-                    self._fingerprint(),
+                    self._shadow.fingerprint(),
                     solution=solution,
                     state=state,
                 )
@@ -691,7 +659,7 @@ class EpochManager:
                 self.journal.commit(
                     policy,
                     serial,
-                    self._fingerprint(),
+                    self._shadow.fingerprint(),
                     solution=solution,
                     state=state,
                     _chaos=self.swap_chaos,
@@ -739,19 +707,11 @@ class EpochManager:
             current_serial=current_serial,
             max_stale_snapshots=max_stale_snapshots + coarsen_grace,
         )
-        fp = snapshot.fingerprint
-        region_values = fp.get("region")
-        if not isinstance(region_values, (list, tuple)):
-            raise RecoveryError(
-                "journal fingerprint lacks a region", reason="fingerprint"
-            )
+        shadow, event = IncrementalAnonymizer.recover(snapshot, trajectory)
         manager = cls(
-            Rect(*[float(v) for v in region_values]),
-            int(fp["k"]),  # type: ignore[arg-type]
+            shadow.region,
+            shadow.k,
             None,
-            max_depth=int(fp.get("max_depth", 40)),  # type: ignore[arg-type]
-            prune=bool(fp.get("prune", True)),
-            engine=str(fp.get("engine", "flat")),
             journal=journal,
             max_stale_snapshots=max_stale_snapshots,
             coarsen_grace=coarsen_grace,
@@ -759,8 +719,9 @@ class EpochManager:
             injector=injector,
             swap_chaos=swap_chaos,
             trajectory=trajectory,
-            _recovered=snapshot,
+            _recovered=(shadow, snapshot),
         )
+        manager.events.append(event)
         if current_serial is not None:
             # analysis: ok[CC001] manager is thread-private until returned
             manager._world_serial = max(manager._world_serial, current_serial)

@@ -10,14 +10,9 @@ from repro import (
     Point,
     PolicyError,
     Rect,
-    TreeError,
 )
 from repro.core.binary_dp import solve
-from repro.core.configuration import (
-    Configuration,
-    configuration_of_policy,
-    policy_from_configuration,
-)
+from repro.core.configuration import configuration_of_policy
 from repro.core.requests import ServiceRequest
 from repro.data import uniform_users
 from repro.trees import BinaryTree
@@ -120,7 +115,6 @@ class TestMutationAfterExtraction:
     def test_fresh_extraction_after_moves_needs_repair(self, region, db):
         """Extracting from a stale solution after the tree moved is a
         contract violation the library must not satisfy silently."""
-        from repro import ReproError
         from repro.core.binary_dp import resolve_dirty
 
         tree = BinaryTree.build(region, db, 5)

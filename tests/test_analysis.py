@@ -11,8 +11,6 @@ import json
 import pathlib
 import textwrap
 
-import pytest
-
 from repro.analysis import Analyzer, Baseline
 from repro.analysis.cli import main
 

@@ -13,8 +13,6 @@ import pathlib
 import textwrap
 import threading
 
-import pytest
-
 from repro.analysis import Analyzer, Baseline
 from repro.analysis.flow import FlowAnalysis, build_cfg, solve_forward
 from repro.analysis.incremental import IncrementalAnalyzer

@@ -4,7 +4,6 @@ import pytest
 
 from repro import (
     IncrementalAnonymizer,
-    LocationDatabase,
     Point,
     PolicyAwareAnonymizer,
     Rect,

@@ -11,7 +11,6 @@ from repro.attacks import (
 from repro.baselines import policy_unaware_binary
 from repro.core.binary_dp import solve
 from repro.core.requests import AnonymizedRequest, ServiceRequest
-from repro.data import uniform_users
 from repro.trees import BinaryTree
 
 from conftest import random_instance

@@ -4,7 +4,7 @@ operational attackers."""
 
 import pytest
 
-from repro import LocationDatabase, Rect, ReproError
+from repro import Rect, ReproError
 from repro.attacks import (
     MaskingFamily,
     PolicyAwareAttacker,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AnonymityBreachError, LocationDatabase, Rect
+from repro import AnonymityBreachError, LocationDatabase
 from repro.attacks import assert_policy_aware_k_anonymous, audit_policy
 from repro.baselines import policy_unaware_binary
 from repro.core.binary_dp import solve

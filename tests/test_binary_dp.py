@@ -7,10 +7,7 @@ import pytest
 from repro import LocationDatabase, NoFeasiblePolicyError, Rect, ReproError
 from repro.core.binary_dp import NodeSolution, solve
 from repro.core.bulk_dp import solve_naive
-from repro.core.configuration import (
-    configuration_of_policy,
-    enumerate_ksummation_configurations,
-)
+from repro.core.configuration import enumerate_ksummation_configurations
 from repro.data import uniform_users
 from repro.trees import BinaryTree, QuadTree
 

@@ -1,6 +1,5 @@
 """Unit tests for the lazy binary tree of quadrants/semi-quadrants (§V)."""
 
-import numpy as np
 import pytest
 
 from repro import LocationDatabase, Point, Rect, TreeError

@@ -119,8 +119,6 @@ class TestVerifier:
             verify_solution(db, centers, 3, result, budget=result.cost / 2)
 
     def test_rejects_undersized_group(self, centers):
-        from dataclasses import replace
-
         from repro.baselines import verify_solution
 
         db = uniform_users(6, Rect(0, 0, 10, 10), seed=79)

@@ -1,7 +1,5 @@
 """Tests for the shared experiment workload cache."""
 
-import pytest
-
 from repro.experiments import ScaleProfile, current_scale, master_for, sample_for
 from repro.experiments.workloads import scaled_master
 

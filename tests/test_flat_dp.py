@@ -9,17 +9,16 @@ recomputing no more nodes than the object path.
 
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.attacks.audit import audit_policy
 from repro.core.binary_dp import (
-    _solve_object,
     resolve_dirty,
     solve,
     solve_best_orientation,
+    solve_object,
 )
 from repro.core.bulk_dp import solve_naive
 from repro.core.errors import NoFeasiblePolicyError
@@ -28,17 +27,19 @@ from repro.core.flat_dp import (
     SubtreeMemo,
     extract_cloaks,
     is_binary_tree,
-    resolve_dirty_flat,
     solve_arrays,
     solve_flat,
 )
-from repro.core.geometry import Point, Rect
+from repro.core.geometry import Rect
 from repro.core.locationdb import LocationDatabase
+from repro.core.policy import CloakingPolicy
 from repro.data import uniform_users
 from repro.lbs import random_moves
 from repro.parallel import parallel_bulk_anonymize
+from repro.parallel.engine import _solve_jurisdiction
 from repro.trees.binarytree import BinaryTree
 from repro.trees.flat import FlatTree
+from repro.trees.quadtree import QuadTree
 
 REGION = Rect(0, 0, 256, 256)
 
@@ -68,7 +69,7 @@ def test_flat_matches_object_and_naive(seed):
         tree = BinaryTree.build(REGION, db, k)
         for prune in (True, False):
             flat_sol = solve_flat(tree, k, prune=prune)
-            obj_sol = _solve_object(tree, k, prune)
+            obj_sol = solve_object(tree, k, prune)
             cf, co = _cost_or_none(flat_sol), _cost_or_none(obj_sol)
             assert cf == co  # exact, including infeasibility
             for nid, ns in obj_sol.solutions.items():
@@ -134,8 +135,8 @@ def test_memoized_repair_equals_scratch_solve(seed):
     k = rng.randint(2, 6)
     tree_f = BinaryTree.build(region, db, k)
     tree_o = BinaryTree.build(region, db, k)
-    sol_f = solve(tree_f, k, engine="flat")
-    sol_o = solve(tree_o, k, engine="object")
+    sol_f = solve(tree_f, k)
+    sol_o = solve_object(tree_o, k)
     assert isinstance(sol_f, FlatTreeSolution)
     for step in range(5):
         moves = random_moves(
@@ -174,45 +175,87 @@ def test_memo_shares_across_identical_subtrees():
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("transport", ["flat", "rows"])
-def test_parallel_transports_agree(transport):
+def test_parallel_modes_agree():
+    """Simulated servers (in-process arrays) and process-mode workers
+    (shared-memory handles) produce bit-identical, k-anonymous cloaks."""
     region = Rect(0, 0, 4096, 4096)
     db = uniform_users(600, region, seed=77)
-    results = {}
-    for tr in ("flat", "rows"):
-        results[tr] = parallel_bulk_anonymize(
-            region, db, 10, 4, transport=tr
-        )
-    merged_flat = results["flat"].master.merged
-    merged_rows = results["rows"].master.merged
-    assert merged_flat.cost() == pytest.approx(merged_rows.cost(), rel=1e-9)
+    results = {
+        mode: parallel_bulk_anonymize(region, db, 10, 4, mode=mode).master.merged
+        for mode in ("simulated", "process")
+    }
+    assert results["simulated"].cost() == results["process"].cost()
     for uid in db.user_ids():
-        assert merged_flat.cloak_for(uid) == merged_rows.cloak_for(uid)
-    report = audit_policy(results[transport].master.merged, 10)
+        assert results["simulated"].cloak_for(uid) == results[
+            "process"
+        ].cloak_for(uid)
+    for merged in results.values():
+        report = audit_policy(merged, 10)
+        assert report.safe_policy_aware, report.summary()
+
+
+@pytest.mark.parametrize("transport", ["flat", "rows"])
+def test_parallel_transports_agree(transport):
+    """A server's two inputs agree: the jurisdiction's compiled flat
+    arrays (what dispatch ships) and its raw point rows (what hand-off
+    shards re-solve from) yield the same cloaks, and the merged policy
+    built from either is k-anonymous."""
+    region = Rect(0, 0, 4096, 4096)
+    db = uniform_users(600, region, seed=77)
+    tree = BinaryTree.build(region, db, 10)
+    result = parallel_bulk_anonymize(region, db, 10, 4, partition_tree=tree)
+    rows_cloaks = {}
+    for jur in result.jurisdictions:
+        rows = [
+            (uid, db.location_of(uid).x, db.location_of(uid).y)
+            for uid in tree.users_of(tree.nodes[jur.node_id])
+        ]
+        if rows:
+            cloaks, _ = _solve_jurisdiction(jur.rect.as_tuple(), rows, 10, 40)
+            rows_cloaks.update(cloaks)
+    merged = {
+        "flat": result.master.merged,
+        "rows": CloakingPolicy(
+            {uid: Rect(*tup) for uid, tup in rows_cloaks.items()}, db
+        ),
+    }
+    assert merged["flat"].cost() == pytest.approx(
+        merged["rows"].cost(), rel=1e-9
+    )
+    for uid in db.user_ids():
+        assert merged["flat"].cloak_for(uid) == merged["rows"].cloak_for(uid)
+    report = audit_policy(merged[transport], 10)
     assert report.safe_policy_aware, report.summary()
 
 
-def test_orientation_pool_matches_serial():
+def test_orientation_matches_object():
+    """The best orientation's cost equals the object walk's optimum on
+    the cheaper of the two orientation trees."""
     region = Rect(0, 0, 1024, 1024)
     db = uniform_users(300, region, seed=55)
-    serial = solve_best_orientation(region, db, 8)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        pooled = solve_best_orientation(region, db, 8, pool=pool)
-    obj = solve_best_orientation(region, db, 8, engine="object")
-    assert serial.optimal_cost == pooled.optimal_cost
-    assert serial.optimal_cost == obj.optimal_cost
+    best = solve_best_orientation(region, db, 8)
+    object_costs = [
+        solve_object(
+            BinaryTree.build(region, db, 8, orientation=orientation), 8
+        ).optimal_cost
+        for orientation in ("vertical", "horizontal")
+    ]
+    assert best.optimal_cost == min(object_costs)
 
 
 def test_engine_validation_and_fallback():
     db = uniform_users(30, REGION, seed=9)
     tree = BinaryTree.build(REGION, db, 3)
-    with pytest.raises(Exception):
-        solve(tree, 3, engine="warp")
     assert is_binary_tree(tree)
-    flat_sol = solve(tree, 3)  # default engine
+    flat_sol = solve(tree, 3)
     assert isinstance(flat_sol, FlatTreeSolution)
-    obj_sol = solve(tree, 3, engine="object")
+    obj_sol = solve_object(tree, 3)
     assert flat_sol.optimal_cost == obj_sol.optimal_cost
+    quad = QuadTree.build_full(REGION, db, depth=2)
+    assert not is_binary_tree(quad)
+    quad_sol = solve(quad, 3)  # n-ary trees take the object walk
+    assert not isinstance(quad_sol, FlatTreeSolution)
+    assert quad_sol.optimal_cost == solve_object(quad, 3).optimal_cost
 
 
 def test_empty_and_tiny_instances():
@@ -227,4 +270,4 @@ def test_empty_and_tiny_instances():
     two = LocationDatabase([("a", 1, 1), ("b", 2, 2)])
     tree2 = BinaryTree.build(REGION, two, 5)
     assert _cost_or_none(solve_flat(tree2, 5)) is None
-    assert _cost_or_none(_solve_object(tree2, 5, True)) is None
+    assert _cost_or_none(solve_object(tree2, 5)) is None

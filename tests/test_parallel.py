@@ -6,6 +6,7 @@ from repro import PolicyError, Rect, ReproError
 from repro.core.binary_dp import solve
 from repro.core.requests import ServiceRequest
 from repro.data import uniform_users
+from repro.lbs import random_moves
 from repro.parallel import MasterPolicy, ServerPolicy, parallel_bulk_anonymize
 from repro.trees import BinaryTree
 
@@ -67,40 +68,53 @@ class TestParallelBulk:
         tree = BinaryTree.build(region, db, 10)
         a = parallel_bulk_anonymize(region, db, 10, 4, partition_tree=tree)
         b = parallel_bulk_anonymize(region, db, 10, 4)
-        assert a.cost == pytest.approx(b.cost)
+        assert a.cost == b.cost
+        assert {u: a.master.cloak_for(u) for u in db.user_ids()} == {
+            u: b.master.cloak_for(u) for u in db.user_ids()
+        }
+
+    def test_stale_partition_tree_rejected(self, region, db):
+        """A tree built over another snapshot would assign users to the
+        wrong jurisdictions; the call refuses it before solving."""
+        tree = BinaryTree.build(region, db, 10)
+        moved = db.with_moves(random_moves(db, 0.2, region, seed=5))
+        with pytest.raises(ReproError, match="partition_tree"):
+            parallel_bulk_anonymize(region, moved, 10, 4, partition_tree=tree)
 
 
 class TestShmTransport:
+    """Simulated servers solve the compiled subtree in-process;
+    process-mode workers map it from shared memory by handle."""
+
     def test_shm_bit_identical_to_flat(self, region, db):
-        flat = parallel_bulk_anonymize(region, db, 10, 4, transport="flat")
-        shm = parallel_bulk_anonymize(region, db, 10, 4, transport="shm")
+        flat = parallel_bulk_anonymize(region, db, 10, 4, mode="simulated")
+        shm = parallel_bulk_anonymize(region, db, 10, 4, mode="process")
         assert shm.cost == flat.cost  # bit-identical, not approx
         assert {
             u: shm.master.cloak_for(u) for u in db.user_ids()
         } == {u: flat.master.cloak_for(u) for u in db.user_ids()}
 
     def test_shm_payload_is_an_order_smaller(self, region, db):
-        flat = parallel_bulk_anonymize(region, db, 10, 4, transport="flat")
-        shm = parallel_bulk_anonymize(region, db, 10, 4, transport="shm")
-        assert shm.dispatch_payload_bytes > 0
-        assert (
-            flat.dispatch_payload_bytes
-            >= 10 * shm.dispatch_payload_bytes
-        )
+        import pickle
+
+        from repro.trees.flat import FlatTree, SharedFlatTree
+
+        tree = BinaryTree.build(region, db, 10)
+        flat = FlatTree.compile(tree, with_payload=True)
+        shared = SharedFlatTree.publish(flat)
+        try:
+            handle_bytes = len(pickle.dumps(shared.handle))
+        finally:
+            shared.unlink()
+            shared.close()
+        assert handle_bytes > 0
+        assert len(pickle.dumps(flat)) >= 10 * handle_bytes
 
     def test_shm_process_mode_matches_simulated(self, region):
         small = uniform_users(120, region, seed=102)
-        sim = parallel_bulk_anonymize(
-            region, small, 8, 2, mode="simulated", transport="shm"
-        )
-        proc = parallel_bulk_anonymize(
-            region, small, 8, 2, mode="process", transport="shm"
-        )
+        sim = parallel_bulk_anonymize(region, small, 8, 2, mode="simulated")
+        proc = parallel_bulk_anonymize(region, small, 8, 2, mode="process")
         assert proc.cost == sim.cost
-
-    def test_unknown_transport_rejected(self, region, db):
-        with pytest.raises(ReproError, match="transport"):
-            parallel_bulk_anonymize(region, db, 10, 2, transport="carrier")
 
     def test_no_segment_leaks(self, region, db):
         import pathlib
@@ -109,9 +123,10 @@ class TestShmTransport:
         if not shm_dir.is_dir():
             pytest.skip("no /dev/shm on this platform")
         before = {p.name for p in shm_dir.iterdir()}
-        parallel_bulk_anonymize(region, db, 10, 4, transport="shm")
-        after = {p.name for p in shm_dir.iterdir()}
-        assert after <= before
+        for mode in ("simulated", "process"):
+            parallel_bulk_anonymize(region, db, 10, 4, mode=mode)
+            after = {p.name for p in shm_dir.iterdir()}
+            assert after <= before, mode
 
 
 class TestProcessPoolRebuild:

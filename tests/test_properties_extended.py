@@ -12,7 +12,6 @@ from repro import LocationDatabase, Point, Rect
 from repro.baselines import solve_greedy, verify_solution
 from repro.baselines.casper_adaptive import CasperPyramid
 from repro.core.binary_dp import solve
-from repro.core.policy import CloakingPolicy
 from repro.core.serialization import policy_from_dict, policy_to_dict
 from repro.data import zipf_weights
 from repro.trees import BinaryTree

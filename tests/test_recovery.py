@@ -15,11 +15,12 @@ from repro.lbs.poi import generate_pois
 from repro.lbs.provider import LBSProvider
 from repro.robustness.chaos import ReplicaKillPlan, destroy_replica
 from repro.robustness.recovery import PolicyJournal, QuorumJournal
+from repro.streaming import EpochManager
 from repro.trees import BinaryTree
 
 REGION = Rect(0, 0, 1024, 1024)
 K = 5
-FINGERPRINT = {"engine": "object", "k": K}
+FINGERPRINT = {"k": K, "prune": True}
 
 
 @pytest.fixture
@@ -81,7 +82,7 @@ class TestPolicyJournal:
     def test_fingerprint_mismatch_fails_closed(self, journal):
         journal.commit(build_policy(), 0, FINGERPRINT)
         with pytest.raises(RecoveryError) as err:
-            journal.recover(fingerprint={"engine": "object", "k": K + 1})
+            journal.recover(fingerprint={"k": K + 1, "prune": True})
         assert err.value.reason == "fingerprint"
 
     def test_stale_db_serial_fails_closed(self, journal):
@@ -374,6 +375,68 @@ class TestCSPRestart:
         assert "restarts: 1" in report.slo_summary()
         # The blackout is visible as queueing, bounded by the restore.
         assert max(report.queue_delays) <= measured + 1e-9
+
+
+class TestJournalFingerprint:
+    """CSP and EpochManager write and parse one journal fingerprint."""
+
+    @pytest.mark.parametrize(
+        "fingerprint",
+        [
+            {"k": K},
+            {"k": K, "region": "0,0,1024,1024"},
+            {"k": "five", "region": [0, 0, 1024, 1024]},
+            {"region": [0, 0, 1024, 1024]},
+        ],
+    )
+    def test_malformed_fingerprint_fails_closed(
+        self, provider, journal, fingerprint
+    ):
+        journal.commit(build_policy(), 0, fingerprint)
+        with pytest.raises(RecoveryError) as err:
+            CSP.restore(provider, journal)
+        assert err.value.reason == "fingerprint"
+        with pytest.raises(RecoveryError) as err:
+            EpochManager.restore(journal)
+        assert err.value.reason == "fingerprint"
+
+    def test_epoch_journal_restores_into_csp(self, provider, journal):
+        db = uniform_users(90, REGION, seed=11)
+        manager = EpochManager(REGION, K, db, prune=False, journal=journal)
+        try:
+            for seed in (1, 2):
+                manager.advance(
+                    random_moves(
+                        manager.active.db, 0.15, REGION, 120.0, seed=seed
+                    )
+                )
+            expected = manager.active.policy
+        finally:
+            manager.close()
+        assert set(journal.recover().fingerprint) == {
+            "k",
+            "max_depth",
+            "prune",
+            "region",
+        }
+        restored = CSP.restore(provider, journal)
+        # The journalled prune flag configures the restored solver, so
+        # the DP sidecar (digested under that flag) warms it.
+        assert restored.anonymizer.prune is False
+        assert restored.anonymizer.solution is not None
+        assert_bit_identical(expected, restored.policy)
+
+    def test_csp_journal_restores_into_epoch_manager(self, provider, journal):
+        db = uniform_users(90, REGION, seed=12)
+        csp = CSP(REGION, K, db, provider, journal=journal)
+        churn(csp, rounds=2)
+        expected = csp.policy
+        restored = EpochManager.restore(journal)
+        try:
+            assert restored.active.serial == csp._snapshot_index
+            assert_bit_identical(expected, restored.active.policy)
+        finally:
+            restored.close()
 
 
 class TestQuorumJournal:

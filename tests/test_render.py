@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import LocationDatabase, Rect, ReproError
+from repro import LocationDatabase, ReproError
 from repro.data import bay_area_master, sample_users, square_region, uniform_users
 from repro.experiments import density_map, depth_map
 from repro.trees import BinaryTree, QuadTree

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Point, Rect, ServiceUnavailableError, UnknownUserError
+from repro import Rect, ServiceUnavailableError, UnknownUserError
 from repro.attacks.audit import audit_policy
 from repro.data import uniform_users
 from repro.lbs import CSP, LBSProvider, generate_pois, random_moves

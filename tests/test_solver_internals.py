@@ -4,7 +4,7 @@ invariant checker's failure detection (error injection)."""
 import numpy as np
 import pytest
 
-from repro import LocationDatabase, Rect, TreeError
+from repro import Rect, TreeError
 from repro.core.binary_dp import (
     NodeSolution,
     _aggregate_children,

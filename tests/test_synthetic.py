@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Point, Rect, WorkloadError
+from repro import Rect, WorkloadError
 from repro.data import (
     bay_area_master,
     bay_area_region,

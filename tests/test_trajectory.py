@@ -3,7 +3,7 @@ declared future-work gap)."""
 
 import pytest
 
-from repro import LocationDatabase, Point, Rect
+from repro import LocationDatabase, Rect
 from repro.attacks import anonymity_erosion, trajectory_attack
 from repro.core.anonymizer import IncrementalAnonymizer
 from repro.core.binary_dp import solve
